@@ -359,23 +359,34 @@ type exp_result = {
   minor_words : float;
   major_words : float;
   major_collections : int;
-  (* events/s measured at each probed domain count (at least domains=1;
-     scaled experiments also probe 4 and 8). *)
-  mutable eps_by_domains : (int * float) list;
+  (* events/s of every probe run, per domain count, in run order (empty
+     when the experiment was not probed). *)
+  mutable eps_runs : (int * float list) list;
 }
 
-(* Multi-domain speedup: best probed events/s over the single-domain
-   rate.  On a single-core machine this hovers around (or below) 1.0 —
-   domains add scheduling overhead and no parallelism — which is why
-   the bench gate carries a core-count-aware tolerance. *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* events/s per domain count: the median of the probe runs, or the
+   headline run alone when the experiment was not probed. *)
+let eps_by_domains e =
+  match e.eps_runs with
+  | [] -> [ (e.e_domains, float_of_int e.events /. e.wall_s) ]
+  | runs -> List.map (fun (d, xs) -> (d, median xs)) runs
+
+(* Multi-domain speedup: best median probed events/s over the
+   single-domain median.  On a single-core machine this hovers around
+   (or below) 1.0 — domains add GC synchronization and no parallelism —
+   which is why the bench gate carries a core-count-aware tolerance. *)
 let speedup_of e =
-  match
-    ( List.assoc_opt 1 e.eps_by_domains,
-      List.filter (fun (d, _) -> d > 1) e.eps_by_domains )
-  with
+  let eps = eps_by_domains e in
+  match (List.assoc_opt 1 eps, List.filter (fun (d, _) -> d > 1) eps) with
   | None, _ | _, [] -> 1.0 (* no probe pair: neutral *)
   | Some base, multi ->
-      List.fold_left (fun acc (_, eps) -> max acc (eps /. base)) 0.0 multi
+      List.fold_left (fun acc (_, v) -> max acc (v /. base)) 0.0 multi
 
 (* Per-event-kind profile: where the wall time of an experiment goes,
    bucketed by event name with instance digits stripped.  [profile]
@@ -434,135 +445,39 @@ let run_experiment ?(profile = false) ?(domains = 1) ~name ~scale run =
     minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
     major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
     major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
-    eps_by_domains = [ (domains, float_of_int events /. wall_s) ];
+    eps_runs = [];
   }
 
-(* Re-run [run] at additional domain counts, recording only events/s.
-   The simulated results are identical at every domain count (see
-   Sim.Sharded's determinism contract); only wall clock varies. *)
+(* Re-run [run] at each domain count for [probe_rounds] rounds, recording
+   events/s.  Rounds alternate the order (1,2,4 then 4,2,1 ...) so
+   drift in the machine's load does not favour one side; the speedup
+   is taken between per-count medians.  Simulated results are
+   identical at every domain count (a {!Sim.Batch} job depends only on
+   itself); only wall clock varies. *)
+let probe_rounds = 5
+
 let probe_domains ~name ~scale run e counts =
-  List.iter
-    (fun d ->
-      if not (List.mem_assoc d e.eps_by_domains) then begin
-        let p = run_experiment ~domains:d ~name ~scale run in
-        e.eps_by_domains <-
-          e.eps_by_domains @ [ (d, float_of_int p.events /. p.wall_s) ]
-      end)
-    counts;
-  Common.domains := 1
-
-(* ------------------------------------------------------------------ *)
-(* Intra-cell multicore: one deployment sharded per node               *)
-(* ------------------------------------------------------------------ *)
-
-(* Where [probe_domains] parallelizes *across* independent simulations,
-   this experiment parallelizes *inside* one: a single scaled
-   fig4-style LineFS cell whose deployment is partitioned one node per
-   {!Sim.Sharded} shard (host + SmartNIC plane of node i on shard i,
-   fabric-latency edges between them).  The simulated outcome — the
-   throughput the cell reports, the bytes the primary shipped, and the
-   total event count — must be bit-identical at every domain count;
-   only wall clock may move.  The client writes several files back to
-   back so the wall time is long enough to measure. *)
-
-type cell_probe = {
-  c_domains : int;
-  c_tput : float;
-  c_wire : int;
-  c_events : int;
-  c_wall : float;
-}
-
-let cell_files = 4
-
-let run_single_cell ~domains () =
-  Common.current_scale := Common.scaled;
-  let sh = Sim.Sharded.create ~seed_of:(fun _ -> 42) ~shards:3 () in
-  let sys = Common.make_system ~sharding:(sh, 0) Common.Sys_linefs in
-  let tput = ref 0.0 in
-  Sim.Sharded.spawn_root ~name:"cell" sh ~shard:0 (fun () ->
-      let ops = sys.Common.client 1 in
-      let file_bytes = !Common.current_scale.Common.file_bytes in
-      let t0 = Sim.Engine.now () in
-      for i = 1 to cell_files do
-        Workloads.Microbench.seq_write ~ops
-          ~path:(Printf.sprintf "/cell%d" i)
-          ~file_bytes ~io_bytes:(16 * 1024) ()
-      done;
-      let elapsed = Sim.Engine.now () - t0 in
-      tput := Common.gbps (cell_files * file_bytes) elapsed;
-      sys.Common.teardown ());
-  let ev0 = Sim.Engine.global_events_executed () in
-  let t0 = Unix.gettimeofday () in
-  (* Same GC regime at every domain count, so the speedup ratio
-     compares scheduling, not heap sizing. *)
-  Common.with_parallel_gc (fun () -> Sim.Sharded.run ~domains sh);
-  let wall_s = Unix.gettimeofday () -. t0 in
-  {
-    c_domains = domains;
-    c_tput = !tput;
-    c_wire = sys.Common.wire_bytes ();
-    c_events = Sim.Engine.global_events_executed () - ev0;
-    c_wall = wall_s;
-  }
-
-(* Each domain count is probed [cell_reps] times and keeps its best
-   wall clock — best-of-N on both sides of the ratio, so scheduler
-   noise doesn't masquerade as a speedup or a regression. *)
-let cell_reps = 3
-
-let run_single_cell_suite counts =
-  Printf.printf
-    "\n== intra-cell multicore: per-node sharded deployment (scaled fig4 \
-     cell) ==\n%!";
-  let probes =
-    List.map
+  let runs = Hashtbl.create 4 in
+  for r = 0 to probe_rounds - 1 do
+    List.iter
       (fun d ->
-        let runs =
-          List.init cell_reps (fun _ -> run_single_cell ~domains:d ())
-        in
-        List.fold_left
-          (fun best p -> if p.c_wall < best.c_wall then p else best)
-          (List.hd runs) (List.tl runs))
-      counts
-  in
-  List.iter
-    (fun p ->
-      Printf.printf
-        "  domains=%d: %.2f GB/s simulated, %d events, %.2fs wall (best of \
-         %d), %.0f events/s\n%!"
-        p.c_domains p.c_tput p.c_events p.c_wall cell_reps
-        (float_of_int p.c_events /. p.c_wall))
-    probes;
-  (match probes with
-  | base :: rest ->
-      List.iter
-        (fun p ->
-          if
-            p.c_tput <> base.c_tput || p.c_wire <> base.c_wire
-            || p.c_events <> base.c_events
-          then begin
-            Printf.printf
-              "FAIL: sharded cell diverged at domains=%d vs %d: tput %.9f/%.9f \
-               wire %d/%d events %d/%d\n%!"
-              p.c_domains base.c_domains p.c_tput base.c_tput p.c_wire
-              base.c_wire p.c_events base.c_events;
-            exit 1
-          end)
-        rest;
-      Printf.printf "  simulated results identical at every domain count\n%!"
-  | [] -> ());
-  probes
+        let p = run_experiment ~domains:d ~name ~scale run in
+        Hashtbl.replace runs d
+          ((float_of_int p.events /. p.wall_s)
+          :: Option.value ~default:[] (Hashtbl.find_opt runs d)))
+      (if r mod 2 = 0 then counts else List.rev counts)
+  done;
+  e.eps_runs <- List.map (fun d -> (d, List.rev (Hashtbl.find runs d))) counts;
+  Common.domains := 1
 
 (* ------------------------------------------------------------------ *)
 (* Rack-scale sweep: N-node racks of replica groups, cohort clients    *)
 (* ------------------------------------------------------------------ *)
 
-(* Throughput vs nodes vs cohort size vs domains, on sharded
-   {!Linefs.Rack} deployments (one shard per node, no cross-group
-   edges): the configuration where windows carry whole groups of
-   concurrent work, so domain parallelism has real events to spread.
-   Simulated results must be identical at every domain count. *)
+(* Throughput vs nodes vs cohort size vs domains, on batched
+   {!Linefs.Rack} runs (one engine per replica group, spread over the
+   domains).  Simulated results must be identical at every domain
+   count. *)
 
 type sweep_probe = {
   s_nodes : int;
@@ -579,34 +494,31 @@ let sweep_group_bytes = 128 * 1024 * 1024
 
 let run_rack_probe ~nodes ~group_size ~cohort ~domains () =
   Common.current_scale := Common.scaled;
-  let sh = Sim.Sharded.create ~seed_of:(fun _ -> 42) ~shards:nodes () in
-  let rack =
-    Linefs.Rack.create ~sharding:(sh, 0) ~params:(Common.params ()) ~nodes
-      ~group_size ()
-  in
-  let collect =
-    Workloads.Rack_cohort.spawn ~sh ~rack ~cohort ~group_bytes:sweep_group_bytes
-      ~io_bytes:(16 * 1024) ()
-  in
-  let ev0 = Sim.Engine.global_events_executed () in
   let t0 = Unix.gettimeofday () in
-  Common.with_parallel_gc (fun () -> Sim.Sharded.run ~domains sh);
+  let results =
+    Workloads.Rack_cohort.run ~domains ~params:(Common.params ()) ~nodes
+      ~group_size ~cohort ~group_bytes:sweep_group_bytes ~io_bytes:(16 * 1024)
+      ()
+  in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let results = collect () in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   let slowest =
     Array.fold_left
-      (fun acc r -> max acc r.Workloads.Rack_cohort.elapsed)
+      (fun acc (r, _) -> max acc r.Workloads.Rack_cohort.elapsed)
       0 results
   in
-  let groups = Linefs.Rack.group_count rack in
+  let groups = Array.length results in
   {
     s_nodes = nodes;
     s_groups = groups;
     s_cohort = cohort;
     s_domains = domains;
     s_tput = Common.gbps (sweep_group_bytes * groups) slowest;
-    s_wire = Linefs.Rack.replication_wire_bytes rack;
-    s_events = Sim.Engine.global_events_executed () - ev0;
+    s_wire =
+      sum (fun (r, _) ->
+          Linefs.Deployment.replication_wire_bytes
+            r.Workloads.Rack_cohort.deployment);
+    s_events = sum (fun (_, eng) -> Sim.Engine.events_executed eng);
     s_wall = wall_s;
   }
 
@@ -614,7 +526,7 @@ let run_rack_probe ~nodes ~group_size ~cohort ~domains () =
    at each domain count, byte-identity asserted across them. *)
 let run_scale_sweep configs counts =
   Printf.printf
-    "\n== rack-scale sweep: sharded N-node racks, cohort clients ==\n%!";
+    "\n== rack-scale sweep: batched N-node racks, cohort clients ==\n%!";
   List.map
     (fun (nodes, group_size, cohort) ->
       let probes =
@@ -730,7 +642,7 @@ let json_escape s =
   Buffer.contents b
 
 let write_json ~path ~mode ~domains ~cores ~kernels ~geomean ~experiments
-    ~cell_probes ~sweep ~gates =
+    ~sweep ~gates =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
@@ -738,25 +650,6 @@ let write_json ~path ~mode ~domains ~cores ~kernels ~geomean ~experiments
   Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
   Buffer.add_string b
     (Printf.sprintf "  \"data_path_geomean_speedup\": %.3f,\n" geomean);
-  (match cell_probes with
-  | base :: _ :: _ ->
-      let eps p = float_of_int p.c_events /. p.c_wall in
-      let base_eps = eps base in
-      Buffer.add_string b
-        (Printf.sprintf "  \"single_cell_speedup_by_domains\": {%s},\n"
-           (String.concat ", "
-              (List.map
-                 (fun p ->
-                   Printf.sprintf "\"%d\": %.3f" p.c_domains (eps p /. base_eps))
-                 cell_probes)));
-      Buffer.add_string b
-        (Printf.sprintf "  \"single_cell_speedup\": %.3f,\n"
-           (List.fold_left
-              (fun acc p ->
-                if p.c_domains > base.c_domains then max acc (eps p /. base_eps)
-                else acc)
-              0.0 cell_probes))
-  | _ -> ());
   Buffer.add_string b "  \"kernels\": [\n";
   List.iteri
     (fun i k ->
@@ -824,20 +717,30 @@ let write_json ~path ~mode ~domains ~cores ~kernels ~geomean ~experiments
         String.concat ", "
           (List.map
              (fun (d, eps) -> Printf.sprintf "\"%d\": %.0f" d eps)
-             e.eps_by_domains)
+             (eps_by_domains e))
+      in
+      let runs_json =
+        String.concat ", "
+          (List.map
+             (fun (d, xs) ->
+               Printf.sprintf "\"%d\": [%s]" d
+                 (String.concat ", "
+                    (List.map (Printf.sprintf "%.0f") xs)))
+             e.eps_runs)
       in
       Buffer.add_string b
         (Printf.sprintf
            "    {\"name\": \"%s\", \"scale\": \"%s\", \"domains\": %d, \
             \"wall_s\": %.2f, \"events\": %d, \"events_per_s\": %.0f, \
             \"events_per_s_by_domains\": {%s}, \
+            \"events_per_s_runs_by_domains\": {%s}, \
             \"multi_domain_speedup\": %.3f, \"gc\": \
             {\"minor_words\": %.0f, \"major_words\": %.0f, \
             \"major_collections\": %d}}%s\n"
            (json_escape e.e_name) (json_escape e.e_scale) e.e_domains e.wall_s
            e.events
            (float_of_int e.events /. e.wall_s)
-           eps_json (speedup_of e) e.minor_words e.major_words
+           eps_json runs_json (speedup_of e) e.minor_words e.major_words
            e.major_collections
            (if i = List.length experiments - 1 then "" else ","))
       )
@@ -854,9 +757,6 @@ let write_json ~path ~mode ~domains ~cores ~kernels ~geomean ~experiments
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* Wall clock for the sharded runner's inline-vs-parallel policy
-     (scheduling only — simulated results never depend on it). *)
-  Sim.Sharded.set_clock Unix.gettimeofday;
   let args = List.tl (Array.to_list Sys.argv) in
   let smoke = List.mem "--smoke" args in
   let full = List.mem "--full" args in
@@ -891,14 +791,14 @@ let () =
         run_experiment ~profile ~domains ~name:"fig9" ~scale:Common.scaled
           Exp_fig9.run
       in
-      (* Scaled experiments also probe events/s at domains 1, 4, 8 so
+      (* Scaled experiments also probe events/s at domains 1, 2, 4 so
          the JSON tracks the multi-domain trajectory; full-scale runs
-         are too expensive to triplicate. *)
+         are too expensive to repeat. *)
       if not no_probe then begin
         probe_domains ~name:"fig4" ~scale:Common.scaled Exp_fig4.run s4
-          [ 1; 4; 8 ];
+          [ 1; 2; 4 ];
         probe_domains ~name:"fig9" ~scale:Common.scaled Exp_fig9.run s9
-          [ 1; 4; 8 ]
+          [ 1; 2; 4 ]
       end;
       let at_full =
         if full then begin
@@ -917,10 +817,6 @@ let () =
       [ s4; s9 ] @ at_full
     end
   in
-  let cell_probes =
-    if smoke then []
-    else run_single_cell_suite (if no_probe then [ 1; 4 ] else [ 1; 2; 4 ])
-  in
   let sweep =
     if smoke then []
     else
@@ -929,16 +825,6 @@ let () =
         [ 1; 4 ]
   in
   let cores = Domain.recommended_domain_count () in
-  let cell_speedup =
-    match cell_probes with
-    | base :: (_ :: _ as rest) ->
-        let eps p = float_of_int p.c_events /. p.c_wall in
-        Some
-          (List.fold_left
-             (fun acc p -> max acc (eps p /. eps base))
-             0.0 rest)
-    | _ -> None
-  in
   let gates =
     [
       {
@@ -951,7 +837,7 @@ let () =
       };
       (match
          List.find_opt
-           (fun e -> e.e_name = "fig4" && List.length e.eps_by_domains > 1)
+           (fun e -> e.e_name = "fig4" && List.length e.eps_runs > 1)
            experiments
        with
       | None -> skipped_gate "multi_domain_fig4" "no scaled fig4 domain probe"
@@ -964,23 +850,7 @@ let () =
             g_relaxed = cores <= 1;
             g_note =
               (if cores <= 1 then
-                 "single core: domains add barriers, no parallelism"
-               else "");
-          });
-      (match cell_speedup with
-      | None -> skipped_gate "single_cell_speedup" "no sharded-cell probe"
-      | Some v ->
-          {
-            g_name = "single_cell_speedup";
-            g_evaluated = true;
-            g_value = v;
-            g_floor =
-              (if cores >= 4 then 1.30 else if cores > 1 then 1.00 else 0.90);
-            g_relaxed = cores < 4;
-            g_note =
-              (if cores <= 1 then
-                 "single core: inline policy, expect ~1.0x"
-               else if cores < 4 then "fewer than 4 cores"
+                 "single core: domains add GC barriers, no parallelism"
                else "");
           });
       (match sweep with
@@ -992,15 +862,12 @@ let () =
             g_value = sweep_speedup sweep;
             g_floor = (if cores >= 4 then 1.50 else 0.90);
             g_relaxed = cores < 4;
-            g_note =
-              (if cores < 4 then
-                 "fewer than 4 cores: inline policy, expect ~1.0x"
-               else "");
+            g_note = (if cores < 4 then "fewer than 4 cores" else "");
           });
     ]
   in
-  write_json ~path ~mode ~domains ~cores ~kernels ~geomean ~experiments
-    ~cell_probes ~sweep ~gates;
+  write_json ~path ~mode ~domains ~cores ~kernels ~geomean ~experiments ~sweep
+    ~gates;
   if not (report_gates gates) then begin
     Printf.printf "FAIL: a bench gate fell below its floor\n%!";
     exit 1

@@ -14,11 +14,11 @@
      dst_sweep --check-fingerprints FILE     compare against a committed file
      dst_sweep --domains N ...               run sweep scenarios N at a time
 
-   [--domains N] runs the sweep scenarios as edge-less shards of one
-   Sim.Sharded batch, up to N in parallel (Scenario.run_batch).  The
-   scenarios are independent, so every outcome is identical to a
-   sequential run at any N — asserted here by cross-checking one batch
-   fingerprint against a sequential re-run.
+   [--domains N] runs the sweep scenarios as one Sim.Batch, one fresh
+   engine each, up to N at a time (Scenario.run_batch; capped at the
+   host's core count).  The scenarios are independent, so every
+   outcome is identical to a sequential run at any N — asserted here by
+   cross-checking one batch fingerprint against a sequential re-run.
 
    The adversary sweep draws plans only from duplication, reordering,
    corruption and storage faults at aggressive probabilities — the
@@ -47,8 +47,8 @@ let check_outcome ~what o =
     fail "%s: %s" what (Format.asprintf "%a" Fault.Scenario.pp_outcome o)
   else Printf.printf "ok   %s\n%!" what
 
-(* Run a named spec list as one sharded batch ([--domains] wide) and
-   check every outcome. *)
+(* Run a named spec list as one batch ([--domains] wide) and check
+   every outcome. *)
 let check_batch named =
   let outcomes =
     Fault.Scenario.run_batch ~domains:!domains (List.map snd named)
@@ -195,7 +195,7 @@ let () =
           failovers)
       : Fault.Scenario.outcome list);
   (* The batched run must reproduce the sequential fingerprint exactly:
-     the shards share no edges, so sharding may not perturb a single
+     each job owns its engine, so batching may not perturb a single
      scenario's virtual time. *)
   (match (generated, gen_outcomes) with
   | (what, spec) :: _, o :: _ ->

@@ -29,15 +29,12 @@ type workload = Seq_write | Metastorm
 let workload_conv =
   Arg.enum [ ("seq", Seq_write); ("metastorm", Metastorm) ]
 
-(* Build the system under test.  With [sharding] the deployment is
-   partitioned per node across the Sharded runner (call from outside
-   any engine); without it, call from inside the engine's process
-   context. *)
-let make_system ?sharding system busy params =
+(* Build the system under test (process context required). *)
+let make_system system busy params =
   match system with
   | Linefs | Linefs_np ->
       let d =
-        Deployment.create ?sharding ~params
+        Deployment.create ~params
           ~pipeline_parallelism:(system = Linefs)
           ~dfs_prio:(if busy then Hw.Cpu.prio_high else Hw.Cpu.prio_normal)
           ~nodes:3 ()
@@ -55,7 +52,7 @@ let make_system ?sharding system busy params =
         | _ -> Baselines.Assise.Hyperloop
       in
       let a =
-        Baselines.Assise.create ?sharding ~params ~variant
+        Baselines.Assise.create ~params ~variant
           ~dfs_prio:(if busy then Hw.Cpu.prio_high else Hw.Cpu.prio_normal)
           ~nodes:3 ()
       in
@@ -138,28 +135,19 @@ let workload_body fmt (name, client_ops, node_of, total_dfs_cpu, teardown)
   teardown ()
 
 (* Rack-scale run: [nodes] machines as independent replica groups of
-   [group_size] on one sharded runner (one shard per node, no
-   cross-group edges), each group driven by a cohort of [cohort]
-   logical users multiplexed over one LibFS.  Per-group output is
-   buffered and printed in group order, so stdout is byte-identical at
-   every domain count. *)
+   [group_size], batched one engine per group over [domains], each
+   group driven by a cohort of [cohort] logical users multiplexed over
+   one LibFS.  Results come back in group order, so stdout is
+   byte-identical at every domain count. *)
 let run_rack ~nodes ~group_size ~cohort ~file_mb ~io_kb ~domains params =
-  let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:nodes () in
-  let rack = Rack.create ~sharding:(sh, 0) ~params ~nodes ~group_size () in
-  let g = Rack.group_count rack in
-  let group_bytes = file_mb * 1024 * 1024 / g in
-  let collect =
-    Workloads.Rack_cohort.spawn ~sh ~rack ~cohort ~group_bytes
-      ~io_bytes:(io_kb * 1024) ()
+  let g = Rack.groups_of ~nodes ~group_size in
+  let results =
+    Workloads.Rack_cohort.run ~domains ~params ~nodes ~group_size ~cohort
+      ~group_bytes:(file_mb * 1024 * 1024 / g) ~io_bytes:(io_kb * 1024) ()
   in
-  Sharded.run ~domains sh;
-  for i = 0 to Sharded.shard_count sh - 1 do
-    Counters.merge (Sharded.engine sh i)
-  done;
-  Sharded.counters_record sh;
-  let results = collect () in
   Array.iteri
-    (fun grp r ->
+    (fun grp (r, eng) ->
+      Counters.merge eng;
       let s = r.Workloads.Rack_cohort.totals in
       Fmt.pr "group %d (dir %s): %d users, %d ops, %d MB written, %a@." grp
         r.Workloads.Rack_cohort.dir cohort s.Cohort.ops_issued
@@ -168,12 +156,12 @@ let run_rack ~nodes ~group_size ~cohort ~file_mb ~io_kb ~domains params =
     results;
   let slowest =
     Array.fold_left
-      (fun acc r -> max acc r.Workloads.Rack_cohort.elapsed)
+      (fun acc (r, _) -> max acc r.Workloads.Rack_cohort.elapsed)
       0 results
   in
   let written =
     Array.fold_left
-      (fun acc r ->
+      (fun acc (r, _) ->
         acc + r.Workloads.Rack_cohort.totals.Cohort.bytes_written)
       0 results
   in
@@ -182,15 +170,11 @@ let run_rack ~nodes ~group_size ~cohort ~file_mb ~io_kb ~domains params =
     (written / 1024 / 1024)
     Time.pp slowest
     (float_of_int written /. Time.to_sec_f slowest /. 1e9);
-  Fmt.pr "sharded deployment: %d node shards, %d windows@."
-    (Sharded.shard_count sh) (Sharded.windows_run sh);
-  let s = Sharded.stats sh in
-  Fmt.epr
-    "sharded sync: windows=%d parallel=%d barrier-waits=%d fast-forward=%d \
-     messages=%d batch-max=%d horizon-extended=%d@."
-    s.Sharded.windows s.Sharded.parallel_windows s.Sharded.barrier_waits
-    s.Sharded.fast_forwards s.Sharded.messages s.Sharded.batch_max
-    s.Sharded.extended_horizons
+  (* No domain count here: stdout must stay byte-identical when only
+     [--domains] changes. *)
+  Fmt.pr "engines: %d (one per group), %d events@." g
+    (Array.fold_left (fun acc (_, eng) -> acc + Engine.events_executed eng) 0
+       results)
 
 (* Run [instances] identical copies of the benchmark, optionally spread
    over [domains].  Each instance's output is buffered and the buffers
@@ -198,8 +182,7 @@ let run_rack ~nodes ~group_size ~cohort ~file_mb ~io_kb ~domains params =
    riding along with every multi-instance run.  [instances = 1,
    domains = 1] keeps the historical single-engine path. *)
 let run_bench system workload clients file_mb io_kb log_mb files duration_ms
-    busy latency_mode instances domains shard_deployment nodes group_size
-    cohort =
+    busy latency_mode instances domains nodes group_size cohort =
   let params =
     { Params.default with Params.log_bytes = log_mb * 1024 * 1024 }
   in
@@ -212,72 +195,42 @@ let run_bench system workload clients file_mb io_kb log_mb files duration_ms
         List.iter (fun (name, n) -> Fmt.pr "  %-24s %d@." name n) counters
   end
   else begin
-  let body ?sys fmt () =
-    let sys =
-      match sys with Some s -> s | None -> make_system system busy params
-    in
-    workload_body fmt sys workload clients file_mb io_kb files duration_ms
-      busy latency_mode ()
+  let body fmt () =
+    workload_body fmt (make_system system busy params) workload clients
+      file_mb io_kb files duration_ms busy latency_mode ()
   in
-  if shard_deployment then begin
-    (* One deployment, one shard per node: host + SmartNIC plane of
-       node i live on shard i; replication chunks, acks and lease
-       records cross declared fabric-latency edges.  The workload and
-       its clients run on the primary's shard.  Output must be
-       byte-identical at every domain count. *)
-    let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:3 () in
-    let sys = make_system ~sharding:(sh, 0) system busy params in
-    Sharded.spawn_root ~name:"bench" sh ~shard:0 (body ~sys Fmt.stdout);
-    Sharded.run ~domains sh;
-    for i = 0 to Sharded.shard_count sh - 1 do
-      Counters.merge (Sharded.engine sh i)
-    done;
-    Sharded.counters_record sh;
-    (* No domain count in this line: the output must stay byte-identical
-       when only [--domains] changes. *)
-    Fmt.pr "sharded deployment: %d node shards, %d windows@."
-      (Sharded.shard_count sh) (Sharded.windows_run sh);
-    (* Cross-shard sync detail goes to stderr: [parallel] and
-       [barrier-waits] depend on the domain count and the machine, and
-       stdout must stay byte-identical when only [--domains] changes. *)
-    let s = Sharded.stats sh in
-    Fmt.epr
-      "sharded sync: windows=%d parallel=%d barrier-waits=%d \
-       fast-forward=%d messages=%d batch-max=%d horizon-extended=%d@."
-      s.Sharded.windows s.Sharded.parallel_windows s.Sharded.barrier_waits
-      s.Sharded.fast_forwards s.Sharded.messages s.Sharded.batch_max
-      s.Sharded.extended_horizons
-  end
-  else if instances <= 1 && domains <= 1 then begin
+  if instances <= 1 && domains <= 1 then begin
     let eng = Engine.create () in
     Engine.spawn_root eng (body Fmt.stdout);
     Engine.run eng;
     Counters.merge eng
   end
   else begin
-    (* Every instance gets the seed [Engine.create ()] defaults to, so
-       each must reproduce the single-instance run exactly. *)
-    let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:instances () in
-    let bufs = Array.init instances (fun _ -> Buffer.create 4096) in
-    let fmts = Array.map Format.formatter_of_buffer bufs in
-    for i = 0 to instances - 1 do
-      Sharded.spawn_root sh ~shard:i (body fmts.(i))
-    done;
-    Sharded.run ~domains sh;
-    for i = 0 to instances - 1 do
-      Counters.merge (Sharded.engine sh i)
-    done;
-    Array.iter (fun f -> Format.pp_print_flush f ()) fmts;
-    let first = Buffer.contents bufs.(0) in
+    (* Every instance is a batch job with a fresh engine on the seed
+       [Engine.create ()] defaults to, so each must reproduce the
+       single-instance run exactly. *)
+    let outputs =
+      Batch.map ~domains
+        (fun () ->
+          let buf = Buffer.create 4096 in
+          let fmt = Format.formatter_of_buffer buf in
+          let eng = Engine.create () in
+          Engine.spawn_root eng (body fmt);
+          Engine.run eng;
+          Format.pp_print_flush fmt ();
+          (Buffer.contents buf, eng))
+        (List.init instances (fun _ -> ()))
+    in
+    List.iter (fun (_, eng) -> Counters.merge eng) outputs;
+    let first = fst (List.hd outputs) in
     print_string first;
-    Array.iteri
-      (fun i b ->
-        if Buffer.contents b <> first then begin
-          Fmt.epr "instance %d diverged from instance 0:@.%s@."
-            i (Buffer.contents b);
+    List.iteri
+      (fun i (out, _) ->
+        if out <> first then begin
+          Fmt.epr "instance %d diverged from instance 0:@.%s@." i out;
           exit 1
         end)
-      bufs;
+      outputs;
     Fmt.pr "%d instance(s) over %d domain(s): outputs identical@." instances
       domains
   end;
@@ -339,26 +292,19 @@ let cmd =
       value & opt int 1
       & info [ "instances" ]
           ~doc:
-            "Run $(docv) identical copies of the benchmark as shards; their \
-             outputs must match byte-for-byte."
+            "Run $(docv) identical copies of the benchmark, one engine each; \
+             their outputs must match byte-for-byte."
           ~docv:"M")
   in
   let domains =
     Arg.(
       value & opt int 1
       & info [ "domains" ]
-          ~doc:"Spread instances (or deployment node shards) over $(docv) OS \
-                domains." ~docv:"N")
-  in
-  let shard_deployment =
-    Arg.(
-      value & flag
-      & info [ "shard-deployment" ]
           ~doc:
-            "Partition the single deployment per node across Sim.Sharded \
-             shards (one shard per node, fabric-latency edges between them) \
-             and run them over --domains domains. Output is byte-identical \
-             at every domain count.")
+            "Spread instances (or a rack's replica groups) over $(docv) OS \
+             domains, capped at the host's core count. Output is \
+             byte-identical at every value."
+          ~docv:"N")
   in
   let nodes =
     Arg.(
@@ -366,8 +312,8 @@ let cmd =
       & info [ "nodes" ]
           ~doc:
             "Rack-scale run: $(docv) nodes as independent replica groups of \
-             --group-size on a sharded runner (one shard per node), each \
-             group driven by a --cohort of users. 0 disables."
+             --group-size, one engine per group batched over --domains, \
+             each group driven by a --cohort of users. 0 disables."
           ~docv:"N")
   in
   let group_size =
@@ -385,11 +331,7 @@ let cmd =
     (Cmd.info "linefs_sim" ~doc:"LineFS simulation workbench")
     Term.(
       const run_bench $ system $ workload $ clients $ file_mb $ io_kb $ log_mb
-      $ files $ duration_ms $ busy $ latency $ instances $ domains
-      $ shard_deployment $ nodes $ group_size $ cohort)
+      $ files $ duration_ms $ busy $ latency $ instances $ domains $ nodes
+      $ group_size $ cohort)
 
-let () =
-  (* Wall clock for the sharded runner's inline-vs-parallel policy
-     (scheduling only — simulation results never depend on it). *)
-  Sharded.set_clock Unix.gettimeofday;
-  exit (Cmd.eval cmd)
+let () = exit (Cmd.eval cmd)

@@ -32,20 +32,11 @@ val create :
   ?params:Linefs.Params.t ->
   ?variant:variant ->
   ?dfs_prio:Hw.Cpu.prio ->
-  ?sharding:Sim.Sharded.t * int ->
   nodes:int ->
   unit ->
   t
-(** Build the chain (process context required — except with
-    [sharding]). [dfs_prio] is the scheduling priority of all DFS host
-    work.
-
-    [sharding:(sh, base)] partitions the chain per node across the
-    {!Sim.Sharded} runner: node [i] lives on shard [base + i], with
-    fabric-latency edges between all node pairs.  Chain forwarding
-    splits per hop, replication acks and the Hyperloop completion are
-    routed back to the primary's shard.  Call from outside any engine
-    and run the workload body and clients on shard [base]. *)
+(** Build the chain (process context required). [dfs_prio] is the
+    scheduling priority of all DFS host work. *)
 
 val variant : t -> variant
 val node : t -> int -> Hw.Node.t

@@ -25,8 +25,8 @@ let first_free = 256
    generation, so "clearing" is [incr generation].
 
    The whole dictionary (plus the zero-run memo below) is one record,
-   held in domain-local storage: engines on different domains (sharded
-   simulations, parallel bench tasks) each get their own scratch state
+   held in domain-local storage: engines on different domains (batched
+   simulations) each get their own scratch state
    instead of racing on globals. *)
 let dict_bits = 14
 let dict_cap = 1 lsl dict_bits

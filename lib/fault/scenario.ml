@@ -293,7 +293,7 @@ let bitrot_nodes plan =
 
 (* Build one scenario on [eng] (the root process installs the fault
    hook and observers from inside the engine, so they are engine-local
-   and scenarios can run as parallel shards), returning the finisher
+   and scenarios can run as parallel batch jobs), returning the finisher
    that computes the outcome once the engine has been driven. *)
 let prepare (spec : spec) eng =
   let trace = Trace.create () in
@@ -501,9 +501,9 @@ let prepare (spec : spec) eng =
    violation. *)
 let scenario_deadline = Time.sec 30
 
-let run (spec : spec) =
+(* One scenario in a fresh engine seeded like the spec. *)
+let run_fresh (spec : spec) =
   let eng = Engine.create ~seed:spec.seed () in
-  Counters.reset ();
   let finish = prepare spec eng in
   let sim_crash =
     match Engine.run ~deadline:scenario_deadline eng with
@@ -512,31 +512,12 @@ let run (spec : spec) =
   in
   finish sim_crash
 
-let run_batch ?(domains = 1) specs =
-  match specs with
-  | [] -> []
-  | _ ->
-      let specs = Array.of_list specs in
-      let n = Array.length specs in
-      Counters.reset ();
-      (* Edge-less shards: the scenarios are independent, so every
-         shard runs unconstrained with exactly [Engine.run ~deadline]
-         semantics — outcomes are identical to sequential {!run} calls
-         for every domain count.  [seed_of] gives each shard's engine
-         the very seed a sequential run would have used. *)
-      let sh =
-        Sharded.create ~seed_of:(fun i -> specs.(i).seed) ~shards:n ()
-      in
-      let finishers =
-        Array.mapi (fun i spec -> prepare spec (Sharded.engine sh i)) specs
-      in
-      Sharded.run ~domains ~deadline:scenario_deadline ~keep_going:true sh;
-      let errs = Sharded.errors sh in
-      Array.to_list
-        (Array.mapi
-           (fun i finish ->
-             finish
-               (match List.assoc_opt i errs with
-               | Some e -> Some (Printexc.to_string e)
-               | None -> None))
-           finishers)
+let run spec =
+  Counters.reset ();
+  run_fresh spec
+
+(* The scenarios are independent, so each job is exactly a sequential
+   [run]: outcomes are identical at every domain count. *)
+let run_batch ?domains specs =
+  Counters.reset ();
+  Batch.map ?domains run_fresh specs

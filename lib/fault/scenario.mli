@@ -76,12 +76,11 @@ val run : spec -> outcome
     engine-locally and die with the engine. *)
 
 val run_batch : ?domains:int -> spec list -> outcome list
-(** Run many independent scenarios, one per {!Sim.Sharded} shard, with
-    up to [domains] (default 1) running in parallel.  The shards share
-    no edges, so each runs with exactly the single-engine semantics of
-    {!run}: outcomes — digests, traces, counters — are identical to
-    sequential [run] calls at every domain count.  [keep_going]
-    semantics: one scenario crashing doesn't stop the others. *)
+(** Run many independent scenarios as a {!Sim.Batch} over up to
+    [domains] (default 1) domains, one fresh engine each: outcomes —
+    digests, traces, counters — are identical to sequential [run] calls
+    at every domain count.  A scenario whose simulation crashes reports
+    it as a violation, like {!run}, and the others carry on. *)
 
 val pp_spec : Format.formatter -> spec -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -28,11 +28,6 @@ val send : src:port -> dst:port -> int -> unit
     plus switch latency. Raises [Invalid_argument] if the ports belong
     to different switches or [src == dst]. *)
 
-val deliver : port -> int -> unit
-(** Account [n] received bytes at the port without sender-side costs:
-    the landing half of a transfer whose egress/switch share was
-    already charged on another shard ({!Rdma.send_src}/[land_dst]). *)
-
 val latency : t -> Time.t
 val egress : port -> Bandwidth.t
 val ingress : port -> Bandwidth.t

@@ -26,31 +26,17 @@ val create :
   ?coalescing:bool ->
   ?monitor:bool ->
   ?apply_on_publish:bool ->
-  ?sharding:Sim.Sharded.t * int ->
   nodes:int ->
   unit ->
   t
-(** Build and start the cluster (process context required — except with
-    [sharding], see below).
+(** Build and start the cluster (process context required).
     [dfs_prio] is the scheduling priority of DFS host work (kernel
     worker and LibFS) relative to co-running applications. [monitor]
     starts each NICFS's kernel-worker failure detector (off by default
     so idle simulations quiesce). [apply_on_publish] makes every NICFS
     replay published entries into its [fs] (convergence checking).
     Each NICFS gets its own process group, so {!Nicfs.crash} can
-    power-fail individual nodes.
-
-    [sharding:(sh, base)] partitions the deployment per node across the
-    {!Sim.Sharded} runner [sh]: node [i] (host plus SmartNIC plane) is
-    built on — and thereafter owned by — shard [base + i], cross-node
-    edges are declared with the fabric latency as lookahead, and every
-    NICFS gets the shard transport routing chunk shipment, replication
-    acks and the lease-record relay through declared edges.  Call from
-    {e outside} any engine (the constructor boots each shard's t = 0
-    build itself, before [Sharded.run] starts), spawn the workload body
-    and clients on shard [base] (the primary's), and keep fault
-    injection off — the fault paths (retransmission, scrub, fallback,
-    {!rebuild_chain}) assume a single engine. *)
+    power-fail individual nodes. *)
 
 val params : t -> Params.t
 val node_count : t -> int

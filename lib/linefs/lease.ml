@@ -22,7 +22,7 @@ type event =
   | Expired of { node : int; client : int; inum : int }
 
 (* Engine-local when installed from inside a simulation process (fault
-   scenarios sharded across domains each observe only their own
+   scenarios batched across domains each observe only their own
    engine's events), with a process-global fallback for installs from
    outside any run. Same discipline as [Net.Inject]. *)
 let observer : (event -> unit) option ref = ref None

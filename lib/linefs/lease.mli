@@ -30,7 +30,7 @@ type event =
 val set_observer : (event -> unit) -> unit
 (** Install an observer notified of every lease transition on every
     manager.  Called from inside a simulation process it binds to the
-    running engine (so sharded scenarios observe independently); called
+    running engine (so batched scenarios observe independently); called
     outside any run it installs the process-global fallback.  One at a
     time per scope; installing replaces. *)
 

@@ -36,7 +36,7 @@ val set_entry_observer : (client:int -> Storage.Oplog.entry -> unit) -> unit
     time — before asynchronous publication can reclaim it.  Test
     harnesses use this to record the full operation history for
     prefix-consistency replay.  Engine-local when installed from inside
-    a simulation process (sharded scenarios record independently);
+    a simulation process (batched scenarios record independently);
     process-global fallback otherwise.  One at a time per scope. *)
 
 val clear_entry_observer : unit -> unit

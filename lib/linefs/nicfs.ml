@@ -44,23 +44,6 @@ type gate = {
   pub_buffered : (int, Chunk.t) Hashtbl.t;
 }
 
-(* Cross-shard transport for deployments partitioned per node across
-   {!Sim.Sharded} shards.  [xp_shard_of] maps a node id to its shard
-   index; [xp_send] schedules a closure on the destination node's shard
-   after the given fabric delay (through the runner's declared edge, so
-   the delay is floored at the edge lookahead).  When unset, or when
-   both endpoints share a shard, messaging uses the plain local paths. *)
-type xport = {
-  xp_shard_of : int -> int;
-  xp_send :
-    src_node:int ->
-    dst_node:int ->
-    delay:Time.t ->
-    name:string ->
-    (unit -> unit) ->
-    unit;
-}
-
 type t = {
   params : Params.t;
   node : Hw.Node.t;
@@ -72,7 +55,6 @@ type t = {
   mutable coalescing : bool;
   mutable compression : bool;
   mutable next_hop : t option;
-  mutable xport : xport option;
   clients : (int, client_state) Hashtbl.t;
   mutable kworker_ok : bool;
   mutable is_isolated : bool;
@@ -188,17 +170,6 @@ let poll_core_work t work =
       (int_of_float (float_of_int work /. Hw.Cpu.speed (nic_pool t)))
 
 let is_last t = t.next_hop = None
-
-(* The shard transport to use for traffic from [t] to [peer], when the
-   two nodes live on different shards.  [None] means same shard (or no
-   sharding at all): take the plain local path. *)
-let remote_shard t (peer : t) =
-  match t.xport with
-  | None -> None
-  | Some xp ->
-      if xp.xp_shard_of t.node.Hw.Node.id <> xp.xp_shard_of peer.node.Hw.Node.id
-      then Some xp
-      else None
 
 let dserver t =
   match (if t.fallback then t.fb_dserver else t.dserver) with
@@ -504,61 +475,25 @@ let mark_chunk_replicated t cs ~idx ~last_seq =
    directly into the last replica's host PM log, saving a SmartNIC
    memory copy (§3.3.2, step 6').  A successor running in host
    fallback has no NIC DRAM to stage into: the wire form goes straight
-   to its host PM and the message says so ([nic_mem = false]).
-
-   When [nxt] lives on another shard, the transfer is split: the sender
-   halves (PM read, source PCIe hop, egress bandwidth) of both the
-   payload and the notification message are paid here, and the landing
-   halves — receive accounting, PM placement, NIC staging alloc (that
-   memory is successor-shard state) and the RPC enqueue — run on the
-   successor's shard after the fabric flight. *)
+   to its host PM and the message says so ([nic_mem = false]). *)
 let send_to_successor t nxt ~origin ~wire (c : Chunk.t) =
   let src = src_loc t in
-  match remote_shard t nxt with
-  | Some xp ->
-      let ship ~data_dst ~data_medium ~nic_stage msg =
-        Net.Rdma.send_src ~src wire;
-        Net.Rdma.send_src ~src Net.Rpc.msg_bytes;
-        let msg_dst = Net.Rpc.loc (dserver nxt) in
-        let delay =
-          max (Net.Rdma.flight ~dst:data_dst) (Net.Rdma.flight ~dst:msg_dst)
-        in
-        xp.xp_send ~src_node:t.node.Hw.Node.id ~dst_node:nxt.node.Hw.Node.id
-          ~delay ~name:"nicfs.repl-ship" (fun () ->
-            if nic_stage then Hw.Smartnic.alloc nxt.node.Hw.Node.nic wire;
-            Net.Rdma.land_dst ~dst_medium:data_medium ~dst:data_dst wire;
-            Net.Rdma.land_dst ~dst:msg_dst Net.Rpc.msg_bytes;
-            Net.Rpc.deliver (dserver nxt) msg)
-      in
-      if nxt.fallback then
-        ship ~data_dst:(Net.Loc.Host nxt.node) ~data_medium:`Pm
-          ~nic_stage:false
-          (Repl_chunk { chunk = c; origin; wire; nic_mem = false })
-      else if is_last nxt && wire = c.Chunk.bytes then
-        ship ~data_dst:(Net.Loc.Host nxt.node) ~data_medium:`Pm
-          ~nic_stage:false
-          (Repl_direct { chunk = c; origin })
-      else
-        ship ~data_dst:(Net.Loc.Nic nxt.node) ~data_medium:`Dram
-          ~nic_stage:true
-          (Repl_chunk { chunk = c; origin; wire; nic_mem = true })
-  | None ->
-      if nxt.fallback then begin
-        Net.Rdma.move ~dst_medium:`Pm ~src ~dst:(Net.Loc.Host nxt.node) wire;
-        Net.Rpc.post (dserver nxt) ~from:src
-          (Repl_chunk { chunk = c; origin; wire; nic_mem = false })
-      end
-      else if is_last nxt && wire = c.Chunk.bytes then begin
-        (* Uncompressed direct placement into the last host's PM log. *)
-        Net.Rdma.move ~dst_medium:`Pm ~src ~dst:(Net.Loc.Host nxt.node) wire;
-        Net.Rpc.post (dserver nxt) ~from:src (Repl_direct { chunk = c; origin })
-      end
-      else begin
-        Hw.Smartnic.alloc nxt.node.Hw.Node.nic wire;
-        Net.Rdma.move ~src ~dst:(Net.Loc.Nic nxt.node) wire;
-        Net.Rpc.post (dserver nxt) ~from:src
-          (Repl_chunk { chunk = c; origin; wire; nic_mem = true })
-      end
+  if nxt.fallback then begin
+    Net.Rdma.move ~dst_medium:`Pm ~src ~dst:(Net.Loc.Host nxt.node) wire;
+    Net.Rpc.post (dserver nxt) ~from:src
+      (Repl_chunk { chunk = c; origin; wire; nic_mem = false })
+  end
+  else if is_last nxt && wire = c.Chunk.bytes then begin
+    (* Uncompressed direct placement into the last host's PM log. *)
+    Net.Rdma.move ~dst_medium:`Pm ~src ~dst:(Net.Loc.Host nxt.node) wire;
+    Net.Rpc.post (dserver nxt) ~from:src (Repl_direct { chunk = c; origin })
+  end
+  else begin
+    Hw.Smartnic.alloc nxt.node.Hw.Node.nic wire;
+    Net.Rdma.move ~src ~dst:(Net.Loc.Nic nxt.node) wire;
+    Net.Rpc.post (dserver nxt) ~from:src
+      (Repl_chunk { chunk = c; origin; wire; nic_mem = true })
+  end
 
 (* Transfer: ship the chunk to the chain successor. *)
 let transfer_work t (c : Chunk.t) =
@@ -733,18 +668,7 @@ let send_ack t (origin : t) (c : Chunk.t) =
         sent_at = Engine.now ();
       }
   in
-  match remote_shard t origin with
-  | Some xp ->
-      (* Routed home: the ack frame's sender half here, its landing and
-         enqueue on the chunk primary's shard. *)
-      Net.Rdma.send_src ~src:(src_loc t) Net.Rpc.msg_bytes;
-      let dst = Net.Rpc.loc (dserver origin) in
-      xp.xp_send ~src_node:t.node.Hw.Node.id
-        ~dst_node:origin.node.Hw.Node.id ~delay:(Net.Rdma.flight ~dst)
-        ~name:"nicfs.repl-ack" (fun () ->
-          Net.Rdma.land_dst ~dst Net.Rpc.msg_bytes;
-          Net.Rpc.deliver (dserver origin) msg)
-  | None -> Net.Rpc.post (dserver origin) ~from:(src_loc t) msg
+  Net.Rpc.post (dserver origin) ~from:(src_loc t) msg
 
 let handle_repl_chunk t ~chunk:(c : Chunk.t) ~origin ~wire ~nic_mem =
   (* Decompress if the wire form was compressed. *)
@@ -1106,7 +1030,6 @@ let create ?(pipeline_parallelism = true) ?(coalescing = false)
         coalescing;
         compression;
         next_hop = None;
-        xport = None;
         clients = Hashtbl.create 8;
         kworker_ok = true;
         is_isolated = false;
@@ -1139,32 +1062,18 @@ let create ?(pipeline_parallelism = true) ?(coalescing = false)
       }
   and lease_replicate t ~bytes =
     (* Ship the lease record down the replication chain; a hop in host
-       fallback receives it straight into host memory.  Across shards
-       the walk becomes a hop-by-hop relay: each cross-shard hop pays
-       its sender half locally and continues the walk from inside the
-       landing closure on the successor's shard. *)
+       fallback receives it straight into host memory. *)
     let rec go cur =
       match cur.next_hop with
       | None -> ()
-      | Some nxt -> (
+      | Some nxt ->
           let dst =
             if nxt.fallback then Net.Loc.Host nxt.node
             else Net.Loc.Nic nxt.node
           in
-          match remote_shard cur nxt with
-          | Some xp ->
-              Net.Rdma.send_src ~src:(src_loc cur) bytes;
-              xp.xp_send ~src_node:cur.node.Hw.Node.id
-                ~dst_node:nxt.node.Hw.Node.id
-                ~delay:(Net.Rdma.flight ~dst) ~name:"nicfs.lease-repl"
-                (fun () ->
-                  Net.Rdma.land_dst ~dst bytes;
-                  Hw.Pm.write nxt.node.Hw.Node.pm bytes;
-                  go nxt)
-          | None ->
-              Net.Rdma.move ~src:(src_loc cur) ~dst bytes;
-              Hw.Pm.write nxt.node.Hw.Node.pm bytes;
-              go nxt)
+          Net.Rdma.move ~src:(src_loc cur) ~dst bytes;
+          Hw.Pm.write nxt.node.Hw.Node.pm bytes;
+          go nxt
     in
     go t
   in
@@ -1188,7 +1097,6 @@ let create ?(pipeline_parallelism = true) ?(coalescing = false)
   t
 
 let set_next_hop t nxt = t.next_hop <- nxt
-let set_xport t xp = t.xport <- Some xp
 let set_compression t b = t.compression <- b
 let compression_enabled t = t.compression
 let set_coalescing t b = t.coalescing <- b

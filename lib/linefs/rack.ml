@@ -1,38 +1,47 @@
 open Sim
 
-type t = {
-  groups : Deployment.t array;
-  group_size : int;
-  sharding : (Sharded.t * int) option;
-}
+type t = { groups : Deployment.t array; group_size : int }
+
+let groups_of ~nodes ~group_size =
+  if group_size < 1 then invalid_arg "Rack: group_size must be >= 1";
+  if nodes < group_size || nodes mod group_size <> 0 then
+    invalid_arg "Rack: nodes must be a positive multiple of group_size";
+  nodes / group_size
 
 let create ?cfg ?params ?pipeline_parallelism ?kworker_mode ?dfs_prio
-    ?compression ?coalescing ?monitor ?apply_on_publish ?sharding ~nodes
-    ~group_size () =
-  if group_size < 1 then invalid_arg "Rack.create: group_size must be >= 1";
-  if nodes < group_size || nodes mod group_size <> 0 then
-    invalid_arg "Rack.create: nodes must be a positive multiple of group_size";
-  let ngroups = nodes / group_size in
+    ?compression ?coalescing ?monitor ?apply_on_publish ~nodes ~group_size () =
   let groups =
-    Array.init ngroups (fun g ->
-        let sharding =
-          Option.map (fun (sh, base) -> (sh, base + (g * group_size))) sharding
-        in
+    Array.init (groups_of ~nodes ~group_size) (fun _ ->
         Deployment.create ?cfg ?params ?pipeline_parallelism ?kworker_mode
           ?dfs_prio ?compression ?coalescing ?monitor ?apply_on_publish
-          ?sharding ~nodes:group_size ())
+          ~nodes:group_size ())
   in
-  { groups; group_size; sharding }
+  { groups; group_size }
+
+(* Groups share no edges, so each can own an engine: the job builds its
+   group and then starts [body] as a separate process, which keeps the
+   group's t = 0 event order — node processes first, then the workload
+   — exactly what it is on a single engine after [create]. *)
+let run_batch ?domains ?params ~nodes ~group_size body =
+  let groups = groups_of ~nodes ~group_size in
+  let job group =
+    let eng = Engine.create () in
+    let out = ref None in
+    Engine.spawn_root ~name:"rack.group" eng (fun () ->
+        let d = Deployment.create ?params ~nodes:group_size () in
+        Engine.spawn ~name:"rack.body" (fun () ->
+            out := Some (body ~groups ~group d)));
+    Engine.run eng;
+    match !out with
+    | Some v -> (v, eng)
+    | None -> failwith "Rack.run_batch: a group's body did not finish"
+  in
+  Array.of_list (Batch.map ?domains job (List.init groups Fun.id))
 
 let group_count t = Array.length t.groups
 let group_size t = t.group_size
 let node_count t = Array.length t.groups * t.group_size
 let group t g = t.groups.(g)
-
-let shard_of_group t g =
-  match t.sharding with
-  | None -> invalid_arg "Rack.shard_of_group: rack is not sharded"
-  | Some (_, base) -> base + (g * t.group_size)
 
 (* Namespace placement: a path is owned by the replica group its parent
    directory hashes to, so one directory's files share a group (and its
@@ -47,21 +56,19 @@ let fnv1a s =
     s;
   !h
 
-let place t path =
+let place ~groups path =
   let dir, _ = Dfs_intf.split_path path in
-  fnv1a dir mod group_count t
+  fnv1a dir mod groups
 
 (* A directory name guaranteed to place on [group]: deterministic
    linear probe over a salted name family.  With G groups the expected
    probe count is G; the sweep uses a handful of directories per run. *)
-let owned_dir t ~group ~salt =
+let owned_dir ~groups ~group ~salt =
   let rec go k =
     let d = Printf.sprintf "/g%d-%d-%d" group salt k in
-    if place t (d ^ "/x") = group then d else go (k + 1)
+    if place ~groups (d ^ "/x") = group then d else go (k + 1)
   in
   go 0
-
-let attach t ~group ~id = Deployment.add_client t.groups.(group) ~id
 
 (* Path-routing client over one attached Libfs per group.  Fds are
    translated through a table so callers see one fd space; [mkdir]
@@ -74,6 +81,7 @@ let router t ~clients =
   if Array.length clients <> group_count t then
     invalid_arg "Rack.router: need exactly one client per group";
   let ops = Array.map Libfs.ops clients in
+  let place = place ~groups:(group_count t) in
   let fds : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
   let next_fd = ref 0 in
   let alloc g fd =
@@ -91,11 +99,11 @@ let router t ~clients =
     Dfs_intf.sysname = ops.(0).Dfs_intf.sysname;
     create =
       (fun path ->
-        let g = place t path in
+        let g = place path in
         alloc g (ops.(g).Dfs_intf.create path));
     open_file =
       (fun path ->
-        let g = place t path in
+        let g = place path in
         alloc g (ops.(g).Dfs_intf.open_file path));
     close =
       (fun rfd ->
@@ -121,16 +129,16 @@ let router t ~clients =
     mkdir = (fun path -> Array.iter (fun o -> o.Dfs_intf.mkdir path) ops);
     unlink =
       (fun path ->
-        let g = place t path in
+        let g = place path in
         ops.(g).Dfs_intf.unlink path);
     rename =
       (fun a b ->
-        let ga = place t a and gb = place t b in
+        let ga = place a and gb = place b in
         if ga <> gb then Dfs_intf.fail Storage.Fs_state.Einval b;
         ops.(ga).Dfs_intf.rename a b);
     file_size =
       (fun path ->
-        let g = place t path in
+        let g = place path in
         ops.(g).Dfs_intf.file_size path);
   }
 

@@ -1,5 +1,5 @@
 (** Rack-scale LineFS: N nodes as independent replication groups with a
-    sharded namespace.
+    partitioned namespace.
 
     A rack of [nodes] machines is organized as [nodes / group_size]
     replica groups, each a full {!Deployment} chain (primary plus
@@ -10,22 +10,15 @@
     where the files live.
 
     Groups are operationally independent — no replication, lease or
-    recovery traffic crosses a group boundary.  Under [sharding], group
-    [g] occupies the shard range
-    [base + g*group_size .. base + (g+1)*group_size - 1] and {e no
-    cross-group edges are declared}: decoupled groups advance
-    concurrently within each synchronization window, so the events
-    available per window grow with the rack instead of the window count
-    — this is what makes domain parallelism pay at rack scale.
-
-    Drive sharded racks group-locally: spawn each group's workload (and
-    {!attach} its clients) on that group's base shard
-    ({!shard_of_group}), working under directories owned by that group
-    ({!owned_dir}).  The {!router} — one fd space over per-group
-    clients — needs every group's client callable from one process, so
-    it is for single-engine racks (and cross-check tests). *)
+    recovery traffic crosses a group boundary.  A rack therefore runs
+    as a {!Sim.Batch} of its groups ({!run_batch}), one engine per
+    group, with results identical at every domain count.  {!create}
+    builds the same rack on one engine — the view that cross-checks the
+    batch — and {!router} gives it one fd space over per-group
+    clients. *)
 
 type t
+(** A rack whose groups all live on one engine. *)
 
 val create :
   ?cfg:Hw.Config.t ->
@@ -37,46 +30,55 @@ val create :
   ?coalescing:bool ->
   ?monitor:bool ->
   ?apply_on_publish:bool ->
-  ?sharding:Sim.Sharded.t * int ->
   nodes:int ->
   group_size:int ->
   unit ->
   t
 (** [nodes] must be a positive multiple of [group_size].  Options are
-    forwarded to every group's {!Deployment.create}; [sharding:(sh,
-    base)] gives group [g] the base shard [base + g*group_size] (the
-    runner must have [nodes] shards from [base]).  Like
-    {!Deployment.create}, call from process context when unsharded and
-    from outside any engine when sharded. *)
+    forwarded to every group's {!Deployment.create}.  Process context
+    required. *)
+
+val groups_of : nodes:int -> group_size:int -> int
+(** Replica-group count of a [nodes]-node rack.  Raises
+    [Invalid_argument] unless [nodes] is a positive multiple of
+    [group_size]. *)
+
+val run_batch :
+  ?domains:int ->
+  ?params:Params.t ->
+  nodes:int ->
+  group_size:int ->
+  (groups:int -> group:int -> Deployment.t -> 'a) ->
+  ('a * Sim.Engine.t) array
+(** Run the rack as a {!Sim.Batch} over [domains] (default 1): group
+    [g] gets a fresh engine, builds its {!Deployment} there and runs
+    [body ~groups ~group:g d] as a process ([groups] is the group
+    count, for {!owned_dir}).  Returns each body's value with its
+    finished engine (clock, event count, engine-local counters), in
+    group order.  Every group behaves exactly as on the single engine
+    of {!create}.  The lowest group's exception, if any, is re-raised
+    once all groups finish. *)
 
 val group_count : t -> int
 val group_size : t -> int
 val node_count : t -> int
 val group : t -> int -> Deployment.t
 
-val shard_of_group : t -> int -> int
-(** Shard index of the group's primary (its workload home).  Raises
-    [Invalid_argument] when the rack is unsharded. *)
+val place : groups:int -> string -> int
+(** Owning group of a path in a rack of [groups] groups: a stable hash
+    (FNV-1a) of its parent directory, so placement is identical across
+    runs, domain counts and engines. *)
 
-val place : t -> string -> int
-(** Owning group of a path: a stable hash (FNV-1a) of its parent
-    directory, so placement is identical across runs, domain counts and
-    sharding modes. *)
-
-val owned_dir : t -> group:int -> salt:int -> string
+val owned_dir : groups:int -> group:int -> salt:int -> string
 (** A directory path that {!place}s on [group] (deterministic probe).
     Distinct [salt]s give distinct directories. *)
-
-val attach : t -> group:int -> id:int -> Libfs.t
-(** Attach a client on the group's primary ({!Deployment.add_client}).
-    Under [sharding], call from that group's shard. *)
 
 val router : t -> clients:Libfs.t array -> Dfs_intf.ops
 (** One fd space over per-group clients (element [g] attached to group
     [g]), routing each call to the owning group.  [mkdir] broadcasts to
     every group so ancestors resolve wherever files land; cross-group
     [rename] fails with [Einval] (a data migration the namespace does
-    not model, like a cross-mount rename).  Single-engine racks only. *)
+    not model, like a cross-mount rename). *)
 
 val replication_wire_bytes : t -> int
 (** Post-compression replication bytes, summed over group primaries. *)

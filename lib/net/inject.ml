@@ -13,9 +13,8 @@ type hook = point:point -> src:Loc.t -> dst:Loc.t -> bytes:int -> verdict
 (* Process-global fallback hook, used only when no engine is running on
    the calling domain (e.g. tests installing a hook before [Engine.run]).
    Hooks installed from inside a simulation process live in that
-   engine's {!Sim.Engine.Local} storage instead, so shards running
-   concurrent fault scenarios on different domains each see exactly
-   their own hook. *)
+   engine's {!Sim.Engine.Local} storage instead, so concurrent fault
+   scenarios on different domains each see exactly their own hook. *)
 let the_hook : hook option ref = ref None
 let local_hook : hook Sim.Engine.Local.key = Sim.Engine.Local.key ()
 

@@ -50,7 +50,7 @@ val set : hook -> unit
     a simulation process, the hook is {e engine-local}: it binds to the
     engine currently running on this domain and is consulted only by
     traffic of that engine — which is what lets independent fault
-    scenarios run as parallel shards.  Called outside any engine, it
+    scenarios run as a parallel {!Sim.Batch}.  Called outside any engine, it
     installs the process-global fallback (consulted by engines with no
     local hook), preserving the historical single-sim behaviour. *)
 

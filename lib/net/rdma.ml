@@ -46,44 +46,6 @@ let move ?(src_medium = `Dram) ?(dst_medium = `Dram) ~src ~dst n =
   | Inject.Corrupt _ ->
       pm_charge dst_medium dst_node ~write:true n
 
-(* ------------------------------------------------------------------ *)
-(* Split cross-node transfer for per-node sharded deployments.
-
-   When source and destination nodes live on different shards, one
-   [move] cannot run: it would sleep on the source engine and mutate
-   destination-side state (PM device time, port receive counter) owned
-   by another domain.  The sharded transport instead splits the move:
-
-     source shard:       [send_src]              (PM read, host PCIe
-                                                  hop, egress share)
-     cross-shard delay:  [flight ~dst]           (switch latency, plus
-                                                  the destination PCIe
-                                                  hop for host memory)
-     destination shard:  [land_dst]              (port accounting, PM
-                                                  write placement)
-
-   The three pieces charge exactly the costs [move] charges, in the
-   same order; only the shard executing each half differs.  Sharded
-   runs are fault-free (the injection hook is engine-local and per-node
-   partitioning is not offered under injection), so no verdict is
-   consulted here. *)
-
-let send_src ?(src_medium = `Dram) ~src n =
-  let src_node = Loc.node src in
-  pm_charge src_medium src_node ~write:false n;
-  if Loc.is_host src then Sim.Engine.sleep (Pcie.latency src_node.pcie);
-  Bandwidth.transfer (Netlink.egress src_node.port) n
-
-let flight ~dst =
-  let dst_node = Loc.node dst in
-  dst_node.Node.cfg.Config.net_latency
-  + if Loc.is_host dst then Pcie.latency dst_node.pcie else 0
-
-let land_dst ?(dst_medium = `Dram) ~dst n =
-  let dst_node = Loc.node dst in
-  Netlink.deliver dst_node.port n;
-  pm_charge dst_medium dst_node ~write:true n
-
 let move_time_estimate ~src ~dst n =
   let src_node = Loc.node src and dst_node = Loc.node dst in
   if Loc.same_node src dst then begin

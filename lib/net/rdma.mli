@@ -34,26 +34,3 @@ val move :
 
 val move_time_estimate : src:Loc.t -> dst:Loc.t -> int -> Sim.Time.t
 (** Uncontended estimate (no PM component), for planning decisions. *)
-
-(** {1 Split cross-node transfer}
-
-    For deployments partitioned per node across {!Sim.Sharded} shards:
-    the source shard pays its half with {!send_src}, the message
-    crosses the shard edge with delay {!flight}, and the destination
-    shard pays its half with {!land_dst}.  Together the three charge
-    exactly what {!move} charges for a cross-node transfer.  Sharded
-    runs are fault-free; no injection verdict is consulted. *)
-
-val send_src : ?src_medium:[ `Pm | `Dram ] -> src:Loc.t -> int -> unit
-(** Sender-side costs of a cross-node move of [n] bytes: PM read (when
-    [`Pm]), host-side PCIe hop latency, egress bandwidth share.  Blocks
-    the calling process on the {e source} shard. *)
-
-val flight : dst:Loc.t -> Sim.Time.t
-(** In-fabric delay between [send_src] returning and [land_dst]
-    running: switch latency plus the destination PCIe hop when [dst]
-    is host memory.  Use as the cross-shard message delay. *)
-
-val land_dst : ?dst_medium:[ `Pm | `Dram ] -> dst:Loc.t -> int -> unit
-(** Receiver-side costs: port receive accounting and PM write placement
-    (when [`Pm]).  Runs on the {e destination} shard. *)

@@ -67,16 +67,27 @@ let answer_once iv_opt resp =
 let caller_id from =
   (2 * (Loc.node from).Hw.Node.id) + if Loc.is_host from then 0 else 1
 
-(* Domain-local: simulations sharded across domains each advance their
-   own counter table instead of racing on a shared Hashtbl.  Sequence
-   numbers only need to be fresh per (caller, server) — they carry no
-   timing information — so per-domain numbering leaves simulation
-   results identical for any shard-to-domain layout. *)
-let caller_seqs_key : (int, int) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* Engine-local: every simulation numbers its callers from zero, so a
+   run's keys do not depend on what ran before it on the same domain
+   (a batch runs several engines in turn on one domain) nor on which
+   domain runs it.  Sequence numbers only need to be fresh per
+   (caller, server) within one engine. *)
+let caller_seqs_key : (int, int) Hashtbl.t Engine.Local.key =
+  Engine.Local.key ()
+
+let caller_seqs () =
+  match Engine.current () with
+  | None -> raise Engine.Not_in_process
+  | Some eng -> (
+      match Engine.Local.get eng caller_seqs_key with
+      | Some h -> h
+      | None ->
+          let h = Hashtbl.create 16 in
+          Engine.Local.set eng caller_seqs_key h;
+          h)
 
 let fresh_key ~from =
-  let caller_seqs = Domain.DLS.get caller_seqs_key in
+  let caller_seqs = caller_seqs () in
   let c = caller_id from in
   let n = match Hashtbl.find_opt caller_seqs c with Some n -> n | None -> 0 in
   Hashtbl.replace caller_seqs c (n + 1);
@@ -363,12 +374,6 @@ let post t ~from ?(bytes = msg_bytes) req =
       Engine.spawn ~name:(t.name ^ ".reorder") (fun () ->
           Engine.sleep d;
           deliver ~tainted:None ())
-
-(* Shard-local landing half of a routed one-way message: the sending
-   shard already paid the wire costs ([Rdma.send_src] + flight delay),
-   so this only enqueues the request for the server's workers.  Sharded
-   runs are fault-free, hence no key/CRC machinery. *)
-let deliver t req = send_req t ~iv:None ~key:None ~tainted:None ~crc:None req
 
 let queue_length t = Mailbox.length t.inbox
 

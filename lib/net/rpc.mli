@@ -56,11 +56,6 @@ val restart : ?group:Sim.Engine.group -> _ t -> unit
 
 val loc : _ t -> Loc.t
 
-val msg_bytes : int
-(** Default control-message frame size (64 bytes), the [?bytes] default
-    of {!call}/{!post}.  Exposed so shard-routed sends can charge the
-    same wire cost as the local paths. *)
-
 val call : ('req, 'resp) t -> from:Loc.t -> ?bytes:int -> 'req -> 'resp
 (** Synchronous request: sends a message of [bytes] (default 64) to the
     server location, waits for the handler, pays the response transfer
@@ -104,20 +99,15 @@ val post : ('req, 'resp) t -> from:Loc.t -> ?bytes:int -> 'req -> unit
 (** Fire-and-forget: pays the request transfer, does not wait for the
     handler to finish. *)
 
-val deliver : ('req, 'resp) t -> 'req -> unit
-(** Enqueue [req] for the server's workers with {e no} wire costs: the
-    landing half of a cross-shard routed message whose transfer was
-    already charged on the sending shard ({!Rdma.send_src} plus the
-    {!Rdma.flight} delay of the shard edge).  Fault-free only — no
-    injection verdict, sequence key or CRC trailer. *)
-
 val queue_length : _ t -> int
 (** Requests waiting to be picked up (a load signal). *)
 
 val fresh_key : from:Loc.t -> int * int
 (** Allocate the next per-caller sequence number for [from].  Callers
     implementing their own retry ladders allocate one key per logical
-    request and pass it to every {!call_timeout} attempt. *)
+    request and pass it to every {!call_timeout} attempt.  Numbering is
+    per engine: a fresh engine's first key for caller [c] is [(c, 0)].
+    Process context required. *)
 
 val disable_dedup : bool ref
 (** Mutation knob for the conformance self-test: [true] bypasses the

@@ -4,7 +4,7 @@
    i.e. from simulation processes — the only place the robustness
    counters are incremented) land in that engine's {!Engine.Local}
    table: a plain [int ref] per name, touched only by the domain
-   currently executing the engine, so sharded runs need no
+   currently executing the engine, so batched runs need no
    synchronization and never share counter state across domains.
 
    Bumps made outside any engine fall back to a process-global table

@@ -8,7 +8,7 @@
     identical schedules.
 
     Bumps made while an engine is running land in that engine's
-    {!Engine.Local} storage, so shards on different domains never share
+    {!Engine.Local} storage, so engines on different domains never share
     counter state; bumps outside any engine go to a process-global
     table.  After a run, fold the engine tallies into the global view
     with {!merge} (in whatever deterministic order the harness picks)

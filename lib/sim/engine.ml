@@ -32,14 +32,14 @@ type t = {
   mutable executed : int;
   rng : Rng.t;
   (* Engine-local storage (see {!Local}): how process-global hooks
-     (fault injection, observers, counters) become per-shard state in
-     sharded runs without any cross-domain sharing. *)
+     (fault injection, observers, counters) become per-engine state, so
+     engines run in parallel share nothing. *)
   locals : (int, Obj.t) Hashtbl.t;
 }
 
 (* The engine currently executing on this domain, set for the duration
-   of [run]/[run_until].  Domain-local, so every shard of a parallel
-   window sees its own engine.  This is deliberately not an effect:
+   of [run].  Domain-local, so engines run in parallel by a batch each
+   see their own.  This is deliberately not an effect:
    it must also be readable from [exec_event]-adjacent code running
    outside the effect handler (e.g. wakers). *)
 let current_slot : t option ref Domain.DLS.key =
@@ -74,8 +74,7 @@ end
 
 (* Process-wide tally across every engine, for wall-clock throughput
    reporting (events per real second) in the bench harness.  Atomic:
-   engines on different domains (sharded runs, parallel bench tasks)
-   all bump it. *)
+   engines on different domains (batched runs) all bump it. *)
 let total_executed = Atomic.make 0
 
 (* ---- per-event-kind wall-clock profile (bench-only; off by default) *)
@@ -90,7 +89,7 @@ let prof_table : (string, prof_cell) Hashtbl.t = Hashtbl.create 64
 let prof_enabled = ref false
 
 (* Profiling is bench-only, so a plain mutex around the table is fine
-   even when shards on several domains record concurrently. *)
+   even when engines on several domains record concurrently. *)
 let prof_mu = Mutex.create ()
 
 (* The sim library takes no unix dependency: the harness installs a
@@ -276,12 +275,6 @@ let rec run_process t name f =
 let spawn_root ?(name = "root") ?group t f =
   schedule ?group t ~at:t.now ~name (fun () -> run_process t name f)
 
-(* Root spawn at an explicit future timestamp: how the sharded runner
-   injects cross-shard deliveries into a destination engine between
-   windows. *)
-let spawn_root_at ?(name = "root") ?group t ~at f =
-  schedule ?group t ~at ~name (fun () -> run_process t name f)
-
 let run_payload = function Fn f -> f () | Resume (k, v) -> continue k v
 
 let exec_event t time ev =
@@ -322,64 +315,6 @@ let run ?deadline t =
       | _ -> exec_event t time (Heap.pop_top t.events)
     end
   done
-
-(* Bounded drain for the sharded runner: execute every event strictly
-   below [bound], leave the rest queued.  Returns the timestamp of the
-   next pending event (the shard's contribution to the next global
-   synchronization bound). *)
-let run_until t ~bound =
-  with_current t @@ fun () ->
-  t.stopped <- false;
-  let running = ref true in
-  while !running && not t.stopped do
-    if Heap.is_empty t.events then running := false
-    else begin
-      let time = Heap.top_key t.events in
-      if time < bound then exec_event t time (Heap.pop_top t.events)
-      else running := false
-    end
-  done;
-  Heap.peek_key t.events
-
-(* Like [run_until] but the bound is read through a reference before
-   every event, so code executed by the events themselves may tighten
-   it mid-window.  The sharded runner uses this for its adaptive
-   horizon: a shard that has sent nothing this window runs unbounded
-   by its own echo, and its first cross-shard send drops the bound to
-   the earliest instant a consequence of that send could return.
-   Execution is time-ordered, so every event already executed when the
-   bound drops is at or before the send time — never beyond the new
-   bound.  [deadline] behaves as in [run]: when the next event would
-   pass it, pending events are discarded and the clock is clamped. *)
-let run_until_dyn ?deadline t ~bound =
-  with_current t @@ fun () ->
-  t.stopped <- false;
-  let running = ref true in
-  while !running && not t.stopped do
-    if Heap.is_empty t.events then running := false
-    else begin
-      let time = Heap.top_key t.events in
-      if time >= !bound then running := false
-      else
-        match deadline with
-        | Some d when time > d ->
-            t.now <- d;
-            t.events <- Heap.create ();
-            running := false
-        | _ -> exec_event t time (Heap.pop_top t.events)
-    end
-  done;
-  Heap.peek_key t.events
-
-let next_event_time t = Heap.peek_key t.events
-
-let fast_forward t ~upto =
-  let upto =
-    match Heap.peek_key t.events with
-    | Some ts -> min upto ts
-    | None -> upto
-  in
-  if upto > t.now then t.now <- upto
 
 let stop t = t.stopped <- true
 

@@ -83,12 +83,6 @@ val spawn_root : ?name:string -> ?group:group -> t -> (unit -> unit) -> unit
 (** Schedule a top-level process to start at the current clock value.
     Usable from outside process context (before or between [run] calls). *)
 
-val spawn_root_at :
-  ?name:string -> ?group:group -> t -> at:Time.t -> (unit -> unit) -> unit
-(** Like {!spawn_root} but at an explicit timestamp (clamped to the
-    current clock if in the past).  Used by {!Sharded} to inject
-    cross-shard message deliveries between synchronization windows. *)
-
 val run : ?deadline:Time.t -> t -> unit
 (** Execute events until the queue drains or the clock would pass
     [deadline].  When the deadline cuts the run short, pending events are
@@ -98,36 +92,9 @@ val stop : t -> unit
 (** Request that {!run} return after the current event; pending events
     are kept (a subsequent [run] resumes them). Callable from processes. *)
 
-val run_until : t -> bound:Time.t -> Time.t option
-(** Execute every pending event with timestamp strictly below [bound]
-    and return the timestamp of the next pending event (or [None] when
-    drained).  Events at or beyond [bound] stay queued; a later
-    [run_until] or {!run} resumes them.  This is the per-window drain
-    used by the sharded runner ({!Sharded}). *)
-
-val run_until_dyn : ?deadline:Time.t -> t -> bound:Time.t ref -> Time.t option
-(** Like {!run_until}, but [bound] is re-read before every event, so
-    code run by the events (e.g. {!Sharded.send}) may tighten it
-    mid-window; execution is time-ordered, so nothing already executed
-    can lie beyond a bound lowered by the event that just ran.  A
-    [deadline] behaves as in {!run}: when the next event would pass it,
-    pending events are discarded and the clock is left at the
-    deadline. *)
-
-val next_event_time : t -> Time.t option
-(** Timestamp of the earliest pending event, if any. *)
-
-val fast_forward : t -> upto:Time.t -> unit
-(** Advance the clock to [upto] without executing anything.  No effect
-    if [upto] is in the past; clamped to the earliest pending event so
-    no event is ever skipped.  The sharded runner ({!Sharded}) uses
-    this to ratchet an idle shard's clock to its conservative bound —
-    the null-message role in Chandy–Misra–Bryant — so the windows of
-    downstream shards keep widening. *)
-
 val current : unit -> t option
 (** The engine currently executing on {e this domain} ([Some] for the
-    duration of {!run}/{!run_until}, [None] outside).  Unlike the
+    duration of {!run}, [None] outside).  Unlike the
     process-context operations below this never raises: wakers and
     library code can use it to find engine-local state ({!Local})
     without being inside the effect handler. *)
@@ -136,10 +103,11 @@ val current : unit -> t option
 
     Typed per-engine key/value slots, in the style of [Domain.DLS].
     This is how formerly process-global hooks (fault-injection hook,
-    lease/oplog observers, robustness counters) become per-shard state
-    in sharded runs: each shard's engine carries its own copy, written
-    and read only while that engine runs, so no state is shared across
-    domains. *)
+    lease/oplog observers, robustness counters, RPC sequence numbers)
+    become per-engine state: each engine carries its own copy, written
+    and read only while that engine runs, so engines run in parallel by
+    {!Batch} share nothing and a fresh engine starts from a clean
+    slate. *)
 module Local : sig
   type 'a key
 

@@ -310,7 +310,7 @@ let data d = update_data 0l d
 
 (* Domain safety: force the code tables and prebuild the whole zero-run
    cache during module initialisation, which runs on the initial domain
-   before any shard can spawn.  After this everything above is
+   before any batch can spawn a domain.  After this everything above is
    read-only, so engines on several domains share it without
    synchronisation (lazily forcing from two domains at once would race;
    so would growing the zero cache on demand). *)

@@ -5,20 +5,20 @@ type group_result = {
   dir : string;
   elapsed : Time.t;
   totals : Cohort.stats;
+  deployment : Deployment.t;
 }
 
-(* The per-group cohort body: runs as a process on the group's primary
-   (its base shard when the rack is sharded).  Round-robin over users —
-   one IO each per round, the cohort's stand-in for [cohort]
-   interleaved clients.  Each user writes a window of its own synthetic
-   stream, so file content is a pure function of (group, user,
-   offset). *)
-let group_body ~rack ~grp ~cohort ~group_bytes ~io_bytes out () =
+(* The per-group cohort body: runs as a process on the group's
+   engine.  Round-robin over users — one IO each per round, the
+   cohort's stand-in for [cohort] interleaved clients.  Each user
+   writes a window of its own synthetic stream, so file content is a
+   pure function of (group, user, offset). *)
+let group_body ~cohort ~group_bytes ~io_bytes ~groups ~group:grp d =
   let per_user = group_bytes / cohort in
-  let cli = Rack.attach rack ~group:grp ~id:(grp + 1) in
+  let cli = Deployment.add_client d ~id:(grp + 1) in
   let coh = Cohort.create ~ops:(Libfs.ops cli) ~users:cohort () in
   let uops = Array.init cohort (Cohort.user_ops coh) in
-  let dir = Rack.owned_dir rack ~group:grp ~salt:0 in
+  let dir = Rack.owned_dir ~groups ~group:grp ~salt:0 in
   uops.(0).Dfs_intf.mkdir dir;
   let t0 = Engine.now () in
   let fds =
@@ -40,32 +40,31 @@ let group_body ~rack ~grp ~cohort ~group_bytes ~io_bytes out () =
       uops.(u).Dfs_intf.fsync fd;
       uops.(u).Dfs_intf.close fd)
     fds;
-  Deployment.flush_all (Rack.group rack grp);
-  out.(grp) <-
-    Some { dir; elapsed = Engine.now () - t0; totals = Cohort.totals coh }
+  Deployment.flush_all d;
+  {
+    dir;
+    elapsed = Engine.now () - t0;
+    totals = Cohort.totals coh;
+    deployment = d;
+  }
 
-let collector out () =
-  Array.map
-    (function
-      | Some r -> r
-      | None -> failwith "rack_cohort: a group's cohort did not finish")
-    out
-
-let spawn ~sh ~rack ~cohort ~group_bytes ~io_bytes () =
-  let g = Rack.group_count rack in
-  let out : group_result option array = Array.make g None in
-  for grp = 0 to g - 1 do
-    Sharded.spawn_root ~name:"rack.cohort" sh
-      ~shard:(Rack.shard_of_group rack grp)
-      (group_body ~rack ~grp ~cohort ~group_bytes ~io_bytes out)
-  done;
-  collector out
+let run ?domains ?params ~nodes ~group_size ~cohort ~group_bytes ~io_bytes () =
+  Rack.run_batch ?domains ?params ~nodes ~group_size
+    (group_body ~cohort ~group_bytes ~io_bytes)
 
 let spawn_on ~eng ~rack ~cohort ~group_bytes ~io_bytes () =
-  let g = Rack.group_count rack in
-  let out : group_result option array = Array.make g None in
-  for grp = 0 to g - 1 do
-    Engine.spawn_root ~name:"rack.cohort" eng
-      (group_body ~rack ~grp ~cohort ~group_bytes ~io_bytes out)
+  let groups = Rack.group_count rack in
+  let out = Array.make groups None in
+  for grp = 0 to groups - 1 do
+    Engine.spawn_root ~name:"rack.cohort" eng (fun () ->
+        out.(grp) <-
+          Some
+            (group_body ~cohort ~group_bytes ~io_bytes ~groups ~group:grp
+               (Rack.group rack grp)))
   done;
-  collector out
+  fun () ->
+    Array.map
+      (function
+        | Some r -> r
+        | None -> failwith "rack_cohort: a group's cohort did not finish")
+      out

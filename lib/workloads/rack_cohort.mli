@@ -1,5 +1,5 @@
 (** Rack-scale cohort workload: one sequential-write cohort per replica
-    group of a sharded {!Linefs.Rack}.
+    group of a {!Linefs.Rack}.
 
     Each group gets one LibFS client on its primary, wrapped in a
     {!Linefs.Cohort} of K users; the users write their own files (in a
@@ -15,21 +15,24 @@ type group_result = {
   dir : string;  (** group-owned working directory *)
   elapsed : Time.t;  (** virtual time from first create to flush *)
   totals : Cohort.stats;
+  deployment : Deployment.t;  (** the group's chain, for post-run reads *)
 }
 
-val spawn :
-  sh:Sharded.t ->
-  rack:Rack.t ->
+val run :
+  ?domains:int ->
+  ?params:Params.t ->
+  nodes:int ->
+  group_size:int ->
   cohort:int ->
   group_bytes:int ->
   io_bytes:int ->
   unit ->
-  unit ->
-  group_result array
-(** [spawn ~sh ~rack ~cohort ~group_bytes ~io_bytes () ] spawns one
-    cohort writer per group on that group's base shard (call before
-    [Sharded.run sh]) and returns a collector to call after the run.
-    [group_bytes] is split evenly over the cohort's users. *)
+  (group_result * Engine.t) array
+(** Run the workload on a [nodes]-node rack batched over [domains]
+    ({!Linefs.Rack.run_batch}: one engine per group).  [group_bytes] is
+    split evenly over the cohort's users.  Results are in group order,
+    each with its group's finished engine, and identical at every
+    domain count. *)
 
 val spawn_on :
   eng:Engine.t ->
@@ -40,6 +43,7 @@ val spawn_on :
   unit ->
   unit ->
   group_result array
-(** Same workload on an {e unsharded} rack: every group's cohort is a
-    root process of the one engine [eng].  The sharded-vs-unsharded
-    equivalence tests compare the two. *)
+(** Same workload on a single-engine rack ({!Linefs.Rack.create}):
+    every group's cohort is a root process of [eng].  Call from inside
+    [eng]'s process context; returns a collector to call after the
+    run.  The batched-vs-single-engine cross-checks compare the two. *)

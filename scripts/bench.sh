@@ -5,23 +5,23 @@
 # BENCH_wallclock.json: per-kernel new-vs-legacy wall times and
 # speedups, wall time / GC pressure / engine events-per-second for the
 # measured experiments (with an events/s-by-domain-count probe of the
-# scaled figures), the intra-cell sharded-deployment probe, and the
-# rack-scale sweep (throughput vs nodes vs cohort size vs domains over
-# sharded Linefs.Rack deployments).
+# scaled figures: alternating rounds at 1, 2 and 4 domains, medians
+# compared), and the rack-scale sweep (throughput vs nodes vs cohort
+# size vs domains over Linefs.Rack runs batched one engine per replica
+# group).
 #
-# Gating now lives inside the harness itself: every floor it enforces
-# — data-path geomean, multi-domain fig4, intra-cell speedup,
-# rack-sweep speedup — is recorded in the JSON's "gates" object with
-# the measured value, the floor applied, whether the floor was relaxed
-# for the machine's core count, and whether the gate was evaluated in
-# this run's mode.  The harness exits nonzero if any evaluated gate
-# falls below its floor.  Speedup floors are core-count-aware: on a
-# single core there is no parallelism to win (the sharded runner's
-# inline policy makes extra domains free, so the floor is a ~1.0x
-# no-regression bound rather than a real speedup).  CI separately
-# refuses committed JSON whose gates were skipped or failed
-# (scripts/ci.sh), so a smoke-mode run can't be passed off as a real
-# benchmark run.
+# Gating lives inside the harness itself: every floor it enforces —
+# data-path geomean, multi-domain fig4, rack-sweep speedup — is
+# recorded in the JSON's "gates" object with the measured value, the
+# floor applied, whether the floor was relaxed for the machine's core
+# count, and whether the gate was evaluated in this run's mode.  The
+# harness exits nonzero if any evaluated gate falls below its floor.
+# Speedup floors are core-count-aware: on a single core there is no
+# parallelism to win (the batch runner caps its pool at the core
+# count, so extra domains are free and the floor is a no-regression
+# bound rather than a real speedup).  CI separately refuses committed
+# JSON whose gates were skipped or failed (scripts/ci.sh), so a
+# smoke-mode run can't be passed off as a real benchmark run.
 #
 # Usage:
 #   scripts/bench.sh             # kernels + scaled fig4/fig9 + sweeps

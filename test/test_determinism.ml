@@ -1,6 +1,4 @@
-(* Determinism pins for the multicore engine work.
-
-   Two layers of protection:
+(* Determinism pins.
 
    - Exact single-domain fingerprints of pinned DST scenarios, asserted
      as string equality in-process (the dst_sweep binary checks the
@@ -8,10 +6,11 @@
      Any engine/heap/RNG change that perturbs event order breaks these
      before it reaches CI's fuller sweeps.
 
-   - A qcheck property that a fault-free LineFS workload produces the
-     same final [Fs_state.digest]s whether its shards run on one domain
-     or four.  This is the user-visible face of the {!Sim.Sharded}
-     determinism contract: domain count must never change results. *)
+   - Pinned fingerprints of a 3-node cell and an 8-node rack.
+
+   - Properties that batching independent simulations over several
+     domains ({!Sim.Batch}) never changes results: domain count must
+     never change what a simulation computes. *)
 
 open Sim
 open Linefs
@@ -71,111 +70,49 @@ let test_params =
     log_bytes = 4 * 1024 * 1024;
   }
 
-(* Run [shards] independent LineFS deployments, one per shard, each
-   writing a seed-dependent amount of data, and return the final
-   primary-FS digest of each. *)
-let digests ~shards ~seed ~domains =
-  let sh = Sharded.create ~seed ~shards () in
-  let out = Array.make shards None in
-  for i = 0 to shards - 1 do
-    Sharded.spawn_root sh ~shard:i (fun () ->
-        let d = Deployment.create ~params:test_params ~nodes:3 () in
-        let ops = Libfs.ops (Deployment.add_client d ~id:1) in
-        let file_bytes = kib (32 + ((seed + i) mod 7 * 16)) in
-        ignore
-          (Workloads.Microbench.seq_write ~ops
-             ~path:(Printf.sprintf "/det-%d" i)
-             ~file_bytes ~io_bytes:(kib 16) ());
-        Deployment.flush_all d;
-        let dg = Storage.Fs_state.digest (Deployment.primary d).Deployment.fs in
-        Deployment.stop d;
-        out.(i) <- Some dg)
-  done;
-  Sharded.run ~domains sh;
-  Array.map
-    (function Some d -> d | None -> Alcotest.fail "shard did not finish")
-    out
+(* Run [jobs] independent LineFS deployments as one batch, each writing
+   a seed-dependent amount of data, and return the final primary-FS
+   digest of each. *)
+let digests ~jobs ~seed ~domains =
+  Batch.map ~domains
+    (fun i ->
+      let eng = Engine.create ~seed:(seed + i) () in
+      let out = ref None in
+      Engine.spawn_root eng (fun () ->
+          let d = Deployment.create ~params:test_params ~nodes:3 () in
+          let ops = Libfs.ops (Deployment.add_client d ~id:1) in
+          let file_bytes = kib (32 + ((seed + i) mod 7 * 16)) in
+          ignore
+            (Workloads.Microbench.seq_write ~ops
+               ~path:(Printf.sprintf "/det-%d" i)
+               ~file_bytes ~io_bytes:(kib 16) ());
+          Deployment.flush_all d;
+          Deployment.stop d;
+          out :=
+            Some
+              (Storage.Fs_state.digest (Deployment.primary d).Deployment.fs));
+      Engine.run eng;
+      match !out with Some d -> d | None -> Alcotest.fail "job did not finish")
+    (List.init jobs Fun.id)
 
 let prop_digest_domain_independent =
   QCheck.Test.make
     ~name:"fault-free digests identical at domains=1 and domains=4" ~count:4
     QCheck.(int_range 0 1000)
     (fun seed ->
-      let d1 = digests ~shards:3 ~seed ~domains:1 in
-      let d4 = digests ~shards:3 ~seed ~domains:4 in
+      let d1 = digests ~jobs:3 ~seed ~domains:1 in
+      let d4 = digests ~jobs:3 ~seed ~domains:4 in
       d1 = d4)
 
 (* ------------------------------------------------------------------ *)
-(* Per-node sharded deployment                                         *)
+(* 3-node cell                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* One deployment partitioned per node: node [i] (host + SmartNIC
-   plane) on shard [i], fabric latency as per-edge lookahead.  The
-   fingerprint covers everything user-visible — primary digest, wire
-   bytes, the clock when the workload body finished on shard 0, total
-   events across the three engines, and the merged counters — so any
-   scheduler or routing change that perturbs the sharded execution
-   breaks the pin before it reaches CI's byte-identity smoke. *)
-let run_sharded_cell ~domains ~file_kib ~io_kib =
-  Counters.reset ();
-  let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:3 () in
-  (* [create] with [sharding] is called from outside any engine: it
-     boots each shard's t = 0 construction itself. *)
-  let d =
-    Deployment.create ~params:test_params ~sharding:(sh, 0) ~nodes:3 ()
-  in
-  let out = ref None in
-  Sharded.spawn_root sh ~shard:0 (fun () ->
-      let ops = Libfs.ops (Deployment.add_client d ~id:1) in
-      ignore
-        (Workloads.Microbench.seq_write ~ops ~path:"/cell"
-           ~file_bytes:(kib file_kib) ~io_bytes:(kib io_kib) ());
-      Deployment.flush_all d;
-      Deployment.stop d;
-      out :=
-        Some
-          ( Storage.Fs_state.digest (Deployment.primary d).Deployment.fs,
-            Deployment.replication_wire_bytes d,
-            Engine.now () ));
-  Sharded.run ~domains sh;
-  let events = ref 0 in
-  for i = 0 to 2 do
-    events := !events + Engine.events_executed (Sharded.engine sh i);
-    Counters.merge (Sharded.engine sh i)
-  done;
-  match !out with
-  | None -> Alcotest.fail "sharded cell did not finish"
-  | Some (dg, wire, clock) -> (dg, wire, clock, !events, Counters.all ())
-
-let cell_fingerprint (dg, wire, clock, events, counters) =
-  Printf.sprintf "digest=%08lx wire=%d clock=%d events=%d [%s]" dg wire clock
-    events
-    (String.concat " "
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
-
-(* Regenerate by running this test and copying the reported value if a
-   change legitimately alters sharded-deployment behaviour. *)
-let pinned_cell =
-  "digest=0198108d wire=263100 clock=515315 events=355 []"
-
-let test_sharded_cell_pinned () =
-  List.iter
-    (fun domains ->
-      let got =
-        cell_fingerprint (run_sharded_cell ~domains ~file_kib:256 ~io_kib:16)
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "sharded cell, domains=%d" domains)
-        pinned_cell got)
-    [ 1; 2; 4 ]
-
-(* The same workload on a single unsharded engine.  Per-node sharding
-   must preserve the user-visible outcome — digest, replicated bytes,
-   counter totals — though not the clock: the sharded transport models
-   the fabric hop as one cross-shard flight where the single-engine
-   path threads it through the switch process, so timings differ by
-   sub-percent amounts while the data path stays byte-identical. *)
-let run_unsharded_cell ~file_kib ~io_kib =
+(* One fault-free LineFS cell on one engine.  The fingerprint covers
+   everything user-visible — primary digest, wire bytes, the clock when
+   the workload body finished, events and counters — so any scheduler
+   or data-path change that perturbs the cell breaks the pin. *)
+let run_cell ~file_kib ~io_kib =
   Counters.reset ();
   let eng = Engine.create () in
   let out = ref None in
@@ -190,72 +127,79 @@ let run_unsharded_cell ~file_kib ~io_kib =
       out :=
         Some
           ( Storage.Fs_state.digest (Deployment.primary d).Deployment.fs,
-            Deployment.replication_wire_bytes d ));
+            Deployment.replication_wire_bytes d,
+            Engine.now () ));
   Engine.run eng;
   Counters.merge eng;
   match !out with
-  | None -> Alcotest.fail "unsharded cell did not finish"
-  | Some (dg, wire) -> (dg, wire, Counters.all ())
+  | None -> Alcotest.fail "cell did not finish"
+  | Some (dg, wire, clock) ->
+      (dg, wire, clock, Engine.events_executed eng, Counters.all ())
 
-let prop_sharding_preserves_results =
-  QCheck.Test.make
-    ~name:"per-node sharding preserves digest/wire/counters" ~count:4
-    QCheck.(pair (int_range 4 24) (int_range 0 2))
-    (fun (units, io_shift) ->
-      let file_kib = 16 * units and io_kib = 4 lsl io_shift in
-      let dg_u, wire_u, ctr_u = run_unsharded_cell ~file_kib ~io_kib in
-      let dg_s, wire_s, _clock, _events, ctr_s =
-        run_sharded_cell ~domains:2 ~file_kib ~io_kib
-      in
-      dg_u = dg_s && wire_u = wire_s && ctr_u = ctr_s)
+let cell_fingerprint (dg, wire, clock, events, counters) =
+  Printf.sprintf "digest=%08lx wire=%d clock=%d events=%d [%s]" dg wire clock
+    events
+    (String.concat " "
+       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
+
+(* Regenerate by running this test and copying the reported value if a
+   change legitimately alters cell behaviour.  Digest and wire bytes
+   are those the per-node sharded cell was pinned at; clock and events
+   moved when the sharded model of the fabric hop (one cross-shard
+   flight instead of the switch process) was retired, leaving the
+   single-engine model every figure uses. *)
+let pinned_cell = "digest=0198108d wire=263100 clock=518315 events=358 []"
+
+let test_cell_pinned () =
+  Alcotest.(check string) "3-node cell" pinned_cell
+    (cell_fingerprint (run_cell ~file_kib:256 ~io_kib:16))
 
 (* ------------------------------------------------------------------ *)
 (* Rack-scale: N nodes as replica groups, cohort clients               *)
 (* ------------------------------------------------------------------ *)
 
-(* The rack equivalent of the cell checks above: an N-node rack of
-   replica groups driven by per-group cohorts, once per-node sharded
-   (at several domain counts) and once on a single unsharded engine.
-   Digests, wire bytes and merged counters must agree everywhere; the
-   virtual clock is part of the sharded fingerprint (it is identical at
-   every domain count) but not of the sharded-vs-unsharded comparison
-   (the fabric hop is modelled differently, as for the cell). *)
+(* An N-node rack of replica groups driven by per-group cohorts, once
+   batched one engine per group (at several domain counts) and once on
+   a single engine.  Digests, wire bytes, the slowest group's elapsed
+   time and merged counters must agree everywhere; the event total is
+   part of the batched fingerprint (identical at every domain count)
+   but not of the cross-check, since the two set up their processes
+   differently. *)
 let rack_params = test_params
 
-let rack_outcome ~rack ~results ~counters =
-  let g = Linefs.Rack.group_count rack in
-  let digests =
-    List.init g (fun i ->
-        Storage.Fs_state.digest
-          (Deployment.primary (Linefs.Rack.group rack i)).Deployment.fs)
-  in
-  let slowest =
-    Array.fold_left
-      (fun acc r -> max acc r.Workloads.Rack_cohort.elapsed)
-      0 results
-  in
-  (digests, Linefs.Rack.replication_wire_bytes rack, slowest, counters)
+let digests_of deployments =
+  List.map
+    (fun d -> Storage.Fs_state.digest (Deployment.primary d).Deployment.fs)
+    deployments
 
-let run_sharded_rack ~nodes ~group_size ~cohort ~domains ~group_kib ~io_kib =
+let slowest results =
+  List.fold_left
+    (fun acc r -> max acc r.Workloads.Rack_cohort.elapsed)
+    0 results
+
+let run_batched_rack ~nodes ~group_size ~cohort ~domains ~group_kib ~io_kib =
   Counters.reset ();
-  let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:nodes () in
-  let rack =
-    Linefs.Rack.create ~params:rack_params ~sharding:(sh, 0) ~nodes
-      ~group_size ()
+  let runs =
+    Array.to_list
+      (Workloads.Rack_cohort.run ~domains ~params:rack_params ~nodes
+         ~group_size ~cohort ~group_bytes:(kib group_kib)
+         ~io_bytes:(kib io_kib) ())
   in
-  let collect =
-    Workloads.Rack_cohort.spawn ~sh ~rack ~cohort ~group_bytes:(kib group_kib)
-      ~io_bytes:(kib io_kib) ()
+  List.iter (fun (_, eng) -> Counters.merge eng) runs;
+  let results = List.map fst runs in
+  let deployments =
+    List.map (fun r -> r.Workloads.Rack_cohort.deployment) results
   in
-  Sharded.run ~domains sh;
-  let events = ref 0 in
-  for i = 0 to nodes - 1 do
-    events := !events + Engine.events_executed (Sharded.engine sh i);
-    Counters.merge (Sharded.engine sh i)
-  done;
-  (rack_outcome ~rack ~results:(collect ()) ~counters:(Counters.all ()), !events)
+  ( ( digests_of deployments,
+      List.fold_left
+        (fun acc d -> acc + Deployment.replication_wire_bytes d)
+        0 deployments,
+      slowest results,
+      Counters.all () ),
+    List.fold_left (fun acc (_, eng) -> acc + Engine.events_executed eng) 0 runs
+  )
 
-let run_unsharded_rack ~nodes ~group_size ~cohort ~group_kib ~io_kib =
+let run_single_engine_rack ~nodes ~group_size ~cohort ~group_kib ~io_kib =
   Counters.reset ();
   let eng = Engine.create () in
   let handles = ref None in
@@ -271,9 +215,13 @@ let run_unsharded_rack ~nodes ~group_size ~cohort ~group_kib ~io_kib =
   Engine.run eng;
   Counters.merge eng;
   match !handles with
-  | None -> Alcotest.fail "unsharded rack did not boot"
+  | None -> Alcotest.fail "single-engine rack did not boot"
   | Some (rack, collect) ->
-      rack_outcome ~rack ~results:(collect ()) ~counters:(Counters.all ())
+      ( digests_of
+          (List.init (Linefs.Rack.group_count rack) (Linefs.Rack.group rack)),
+        Linefs.Rack.replication_wire_bytes rack,
+        slowest (Array.to_list (collect ())),
+        Counters.all () )
 
 let rack_fingerprint ((digests, wire, clock, counters), events) =
   Printf.sprintf "digests=%s wire=%d clock=%d events=%d [%s]"
@@ -284,16 +232,19 @@ let rack_fingerprint ((digests, wire, clock, counters), events) =
        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
 
 (* Regenerate by running this test and copying the reported value if a
-   change legitimately alters rack behaviour. *)
+   change legitimately alters rack behaviour.  Digests and wire bytes
+   are those the per-node sharded rack was pinned at; clock and events
+   moved when the sharded model of the fabric hop was retired (each
+   group now runs the single-engine model on its own engine). *)
 let pinned_rack =
-  "digests=57e1cafa,a194fa47 wire=526436 clock=664729 events=1030 []"
+  "digests=57e1cafa,a194fa47 wire=526436 clock=669229 events=1040 []"
 
 let test_rack_pinned () =
   List.iter
     (fun domains ->
       let got =
         rack_fingerprint
-          (run_sharded_rack ~nodes:8 ~group_size:4 ~cohort:2 ~domains
+          (run_batched_rack ~nodes:8 ~group_size:4 ~cohort:2 ~domains
              ~group_kib:256 ~io_kib:16)
       in
       Alcotest.(check string)
@@ -301,7 +252,7 @@ let test_rack_pinned () =
         pinned_rack got)
     [ 1; 2; 4 ]
 
-let prop_rack_sharding_preserves_results =
+let prop_rack_batch_matches_single_engine =
   QCheck.Test.make
     ~name:"rack: digests/wire/counters identical at domains 1/2/4 and unsharded"
     ~count:3
@@ -309,26 +260,66 @@ let prop_rack_sharding_preserves_results =
     (fun (units, cohort) ->
       let group_kib = 32 * units and io_kib = 16 in
       let nodes = 8 and group_size = 4 in
-      let (dg_u, wire_u, _clk, ctr_u) =
-        run_unsharded_rack ~nodes ~group_size ~cohort ~group_kib ~io_kib
+      let single =
+        run_single_engine_rack ~nodes ~group_size ~cohort ~group_kib ~io_kib
       in
       let reference =
-        run_sharded_rack ~nodes ~group_size ~cohort ~domains:1 ~group_kib
+        run_batched_rack ~nodes ~group_size ~cohort ~domains:1 ~group_kib
           ~io_kib
       in
-      let (dg_1, wire_1, clk_1, ctr_1), ev_1 = reference in
-      (* Unsharded equivalence: everything but the clock. *)
-      dg_u = dg_1 && wire_u = wire_1 && ctr_u = ctr_1
-      && (* Domain-count identity: everything, clock included. *)
-      List.for_all
-        (fun domains ->
-          let (dg, wire, clk, ctr), ev =
-            run_sharded_rack ~nodes ~group_size ~cohort ~domains ~group_kib
-              ~io_kib
-          in
-          dg = dg_1 && wire = wire_1 && clk = clk_1 && ctr = ctr_1
-          && ev = ev_1)
-        [ 2; 4 ])
+      (* Every group behaves exactly as on the single engine. *)
+      fst reference = single
+      && List.for_all
+           (fun domains ->
+             run_batched_rack ~nodes ~group_size ~cohort ~domains ~group_kib
+               ~io_kib
+             = reference)
+           [ 2; 4 ])
+
+(* The single-engine router: one fd space over per-group clients, each
+   call landing on the group that owns the path. *)
+let test_router_places_on_owner () =
+  let eng = Engine.create () in
+  let checked = ref false in
+  Engine.spawn_root eng (fun () ->
+      let rack =
+        Linefs.Rack.create ~params:rack_params ~nodes:8 ~group_size:4 ()
+      in
+      let groups = Linefs.Rack.group_count rack in
+      let clients =
+        Array.init groups (fun g ->
+            Deployment.add_client (Linefs.Rack.group rack g) ~id:(g + 1))
+      in
+      let own = Array.map Libfs.ops clients in
+      let ops = Linefs.Rack.router rack ~clients in
+      let dirs =
+        Array.init groups (fun group ->
+            Linefs.Rack.owned_dir ~groups ~group ~salt:7)
+      in
+      Array.iteri
+        (fun g dir ->
+          ops.Dfs_intf.mkdir dir;
+          let path = dir ^ "/f" in
+          let fd = ops.Dfs_intf.create path in
+          ops.Dfs_intf.append fd (Storage.Data.synthetic ~seed:g ~len:(kib 16));
+          ops.Dfs_intf.fsync fd;
+          ops.Dfs_intf.close fd;
+          Alcotest.(check int) "placed on its group" g
+            (Linefs.Rack.place ~groups path);
+          Array.iteri
+            (fun h o ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s seen by group %d" path h)
+                (if h = g then Some (kib 16) else None)
+                (o.Dfs_intf.file_size path))
+            own)
+        dirs;
+      (match ops.Dfs_intf.rename (dirs.(0) ^ "/f") (dirs.(1) ^ "/f") with
+      | () -> Alcotest.fail "cross-group rename succeeded"
+      | exception Dfs_intf.Fs_error (Storage.Fs_state.Einval, _) -> ());
+      checked := true);
+  Engine.run eng;
+  Alcotest.(check bool) "router body finished" true !checked
 
 (* ------------------------------------------------------------------ *)
 (* Cohort equivalence: K users over one LibFS = K individual clients   *)
@@ -452,17 +443,15 @@ let () =
             test_fingerprints_stable_across_reruns;
         ] );
       ("domains", [ qt prop_digest_domain_independent ]);
-      ( "sharded-deployment",
-        [
-          tc "pinned sharded-cell fingerprint at domains 1/2/4" `Quick
-            test_sharded_cell_pinned;
-          qt prop_sharding_preserves_results;
-        ] );
+      ( "single-engine-cell",
+        [ tc "pinned 3-node cell fingerprint" `Quick test_cell_pinned ] );
       ( "rack",
         [
           tc "pinned 8-node rack fingerprint at domains 1/2/4" `Quick
             test_rack_pinned;
-          qt prop_rack_sharding_preserves_results;
+          qt prop_rack_batch_matches_single_engine;
+          tc "router places files on the owning group" `Quick
+            test_router_places_on_owner;
           tc "cohort of K users = K individual clients" `Quick
             test_cohort_equivalence;
         ] );

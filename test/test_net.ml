@@ -97,6 +97,21 @@ let test_rdma_estimate_close_to_actual () =
 (* Rpc                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Sequence numbers are per engine: a batch runs several engines in turn
+   on one domain, and a job's keys must not depend on what ran before
+   it there. *)
+let test_rpc_fresh_key_per_engine () =
+  let a, _ = two_nodes () in
+  let from = Loc.Host a in
+  let draw n = run_sim (fun () -> List.init n (fun _ -> Rpc.fresh_key ~from)) in
+  let first = draw 3 in
+  let c = fst (List.hd first) in
+  Alcotest.(check (list (pair int int)))
+    "first engine numbers from 0" [ (c, 0); (c, 1); (c, 2) ] first;
+  Alcotest.(check (pair int int))
+    "fresh engine on the same domain restarts at 0" (c, 0)
+    (List.hd (draw 1))
+
 let test_rpc_busy_poll_low_latency () =
   let a, _ = two_nodes () in
   let elapsed =
@@ -467,6 +482,8 @@ let () =
           tc "concurrent calls served" `Quick test_rpc_concurrent_calls_all_served;
           tc "post does not wait" `Quick test_rpc_post_does_not_wait;
           tc "queue length" `Quick test_rpc_queue_length;
+          tc "fresh engine restarts caller keys" `Quick
+            test_rpc_fresh_key_per_engine;
         ] );
       ( "backoff",
         [
