@@ -24,16 +24,10 @@ type node_rt = {
   mutable server : (repl_msg, unit) Net.Rpc.t option;
 }
 
-type file = { fpath : string; inum : int; mutable append_pos : int }
-
-type client = {
-  sys : t;
+(* A client's replication and digestion cursors; its log-structured
+   front end is a [Libfs.t] (see [backend]). *)
+type cursors = {
   cid : int;
-  lg : Oplog.Log.t;
-  pending : (int, int Extent_map.t) Hashtbl.t;
-  fds : (int, file) Hashtbl.t;
-  mutable next_fd : int;
-  mutable next_seq : int;
   mutable digested_seq : int;
   mutable replicated_seq : int;
   mutable bg_enqueued_seq : int;
@@ -44,20 +38,15 @@ type client = {
   ship_lock : Semaphore.t;
   mutable bg_mark : int; (* logged_bytes already enqueued for bg repl *)
   repl_progress : Cond.t;
-  log_space : Cond.t;
   digest_request : Cond.t;
-  digest_done : Cond.t;
   bg_queue : (int * int * int) Mailbox.t; (* (first_seq, last_seq, bytes) *)
   completed_bg : (int, int) Hashtbl.t; (* first_seq -> last_seq *)
-  mutable n_ops : int;
-  mutable n_written : int;
-  mutable n_read : int;
   mutable stopping : bool;
-  wlock : Semaphore.t; (* serializes log appends across client threads *)
-  tasks : (string, Hw.Cpu.task) Hashtbl.t; (* per-thread CPU contexts *)
 }
 
-and t = {
+type client = { lib : Libfs.t; cur : cursors }
+
+type t = {
   prm : Params.t;
   var : variant;
   rts : node_rt array;
@@ -130,11 +119,20 @@ let forward t ~from_hop msg =
   Net.Rpc.post (server dst) ~from:(Net.Loc.Host src.node)
     { msg with hop = from_hop + 1 }
 
+(* Replica SharedFS digestion of a replicated batch into local public
+   PM, in the background with host cores (the replica CPU load §2.1
+   measures). *)
+let replica_digest t ~name rt bytes =
+  Engine.spawn ~name (fun () ->
+      cpu t rt (Hw.Node.copy_work rt.node bytes);
+      Hw.Pm.read rt.node.Hw.Node.pm bytes;
+      Hw.Pm.write rt.node.Hw.Node.pm bytes)
+
 (* Replica-side handling of an incoming batch. The data is already
    persistent in this node's PM log (the sender's RDMA WRITE targeted
    PM), so the ack can go out immediately; forwarding continues the
-   chain; digestion into local public PM runs in the background with
-   host cores (the replica CPU load §2.1 measures). *)
+   chain; digestion runs in the background.  Hyperloop replicas are
+   passive for replication, but their SharedFS digests all the same. *)
 let handle_repl t rt msg =
   if msg.hop + 1 < Array.length t.rts then
     Engine.spawn ~name:"assise.forward" (fun () ->
@@ -142,19 +140,7 @@ let handle_repl t rt msg =
   decr msg.acks;
   if !(msg.acks) <= 0 && not (Ivar.is_filled msg.done_) then
     Ivar.fill msg.done_ ();
-  match t.var with
-  | Pessimistic | Bg_repl ->
-      Engine.spawn ~name:"assise.replica-digest" (fun () ->
-          cpu t rt (Hw.Node.copy_work rt.node msg.rbytes);
-          Hw.Pm.read rt.node.Hw.Node.pm msg.rbytes;
-          Hw.Pm.write rt.node.Hw.Node.pm msg.rbytes)
-  | Hyperloop ->
-      (* Hyperloop replicas are fully passive for replication; their
-         SharedFS still digests in the background. *)
-      Engine.spawn ~name:"assise.replica-digest" (fun () ->
-          cpu t rt (Hw.Node.copy_work rt.node msg.rbytes);
-          Hw.Pm.read rt.node.Hw.Node.pm msg.rbytes;
-          Hw.Pm.write rt.node.Hw.Node.pm msg.rbytes)
+  replica_digest t ~name:"assise.replica-digest" rt msg.rbytes
 
 (* Hyperloop verb accounting: consume one pre-posted verb group per
    batch; a host thread replenishes groups and can be starved by CPU
@@ -212,11 +198,7 @@ let replicate_batch t ~bytes =
             ~dst:(Net.Loc.Host dst.node)
             bytes;
           if hop = 0 then t.wire <- t.wire + bytes;
-          (* Replica SharedFS digests in the background as usual. *)
-          Engine.spawn ~name:"hyperloop.replica-digest" (fun () ->
-              cpu t dst (Hw.Node.copy_work dst.node bytes);
-              Hw.Pm.read dst.node.Hw.Node.pm bytes;
-              Hw.Pm.write dst.node.Hw.Node.pm bytes)
+          replica_digest t ~name:"hyperloop.replica-digest" dst bytes
         done;
         (* Hardware ack back to the primary NIC. *)
         Net.Rdma.move
@@ -226,6 +208,7 @@ let replicate_batch t ~bytes =
         (* Completion wake-up: one dispatch on the (primary) host. *)
         cpu t t.rts.(0) (Time.us 5)
   end
+
 (* ------------------------------------------------------------------ *)
 (* SharedFS digestion (publication with host cores)                    *)
 (* ------------------------------------------------------------------ *)
@@ -233,15 +216,8 @@ let replicate_batch t ~bytes =
 (* Assise reclaims log entries once they are digested into local
    public PM; replication at fsync ships from the digested state, so
    it does not pin the log. *)
-let reclaim c =
-  let safe = c.digested_seq in
-  if safe > 0 then begin
-    ignore (Oplog.Log.reclaim_upto c.lg ~seq:safe : int);
-    Hashtbl.iter
-      (fun _ m -> Extent_map.remove_if m (fun seq -> seq <= safe))
-      c.pending;
-    Cond.broadcast c.log_space
-  end
+let reclaim lib c =
+  if c.digested_seq > 0 then Libfs.reclaim lib ~upto_seq:c.digested_seq
 
 (* Ship replication batches until the cumulative shipped counter
    reaches [target] bytes; serialized per client so the digester and
@@ -256,10 +232,11 @@ let ship_bytes t c ~target =
         c.shipped_bytes <- c.shipped_bytes + batch
       done)
 
-let digest_batch t c ~upto =
+let digest_batch t lib c ~upto =
   let rt = t.rts.(0) in
   let entries =
-    Oplog.Log.entries_from c.lg ~seq:(c.digested_seq + 1) ~max_bytes:max_int
+    Oplog.Log.entries_from (Libfs.log lib) ~seq:(c.digested_seq + 1)
+      ~max_bytes:max_int
   in
   let entries =
     List.filter (fun (e : Oplog.entry) -> e.Oplog.seq <= upto) entries
@@ -277,21 +254,21 @@ let digest_batch t c ~upto =
       (* Digested data is safe in public PM: reclaim the log right
          away, then chain-ship the digested range (Bg_repl's dedicated
          threads handle shipping instead). *)
-      reclaim c;
-      Cond.broadcast c.digest_done;
+      reclaim lib c;
       (match t.var with
       | Pessimistic | Hyperloop -> ship_bytes t c ~target:c.digested_bytes
       | Bg_repl -> ())
 
 let digest_threshold = 4 (* digest when the log is 1/4 full *)
 
-let start_digester t c =
+let start_digester t lib c =
+  let lg = Libfs.log lib in
   Engine.spawn ~name:(Printf.sprintf "assise.digest.c%d" c.cid) (fun () ->
       while not c.stopping do
-        let used = Oplog.Log.used_bytes c.lg in
-        let undigested = Oplog.Log.last_seq c.lg > c.digested_seq in
-        if undigested && used >= Oplog.Log.capacity c.lg / digest_threshold
-        then digest_batch t c ~upto:(Oplog.Log.last_seq c.lg)
+        let used = Oplog.Log.used_bytes lg in
+        let undigested = Oplog.Log.last_seq lg > c.digested_seq in
+        if undigested && used >= Oplog.Log.capacity lg / digest_threshold
+        then digest_batch t lib c ~upto:(Oplog.Log.last_seq lg)
         else
           (* Nothing (new) to digest: park until the next signal. *)
           Cond.await c.digest_request
@@ -385,41 +362,16 @@ let create ?(cfg = Hw.Config.testbed_25gbe) ?(params = Params.default)
   t
 
 (* ------------------------------------------------------------------ *)
-(* Client operations                                                   *)
+(* Clients: LibFS over a host-side backend                             *)
 (* ------------------------------------------------------------------ *)
 
-let fail = Dfs_intf.fail
-let prim c = c.sys.rts.(0)
-let cfs c = (prim c).fs
-
-(* The calling thread's sticky CPU context (see Libfs.ctask). *)
-let ctask c =
-  let name = Engine.process_name () in
-  match Hashtbl.find_opt c.tasks name with
-  | Some tk -> tk
-  | None ->
-      let rt = prim c in
-      let tk =
-        Hw.Cpu.task ~prio:c.sys.prio ~account:rt.acct rt.node.Hw.Node.host
-      in
-      Hashtbl.add c.tasks name tk;
-      tk
-
-let client_cpu c work = Hw.Cpu.task_run (ctask c) work
-let client_cpu_release c = Hw.Cpu.task_release (ctask c)
-
-let resolve_exn c path =
-  match Fs_state.resolve (cfs c) path with
-  | Ok i -> i
-  | Error e -> fail e path
-
 (* Synchronously replicate everything up to [upto] (the fsync path). *)
-let ensure_replicated t c ~upto =
+let ensure_replicated t lib c ~upto =
   match t.var with
   | Pessimistic | Hyperloop ->
       ship_bytes t c ~target:c.logged_bytes;
       c.replicated_seq <- max c.replicated_seq upto;
-      reclaim c
+      reclaim lib c
   | Bg_repl ->
       if c.bg_mark < c.logged_bytes then begin
         Mailbox.send c.bg_queue
@@ -431,195 +383,39 @@ let ensure_replicated t c ~upto =
         Cond.await c.repl_progress
       done
 
-let append_op_locked c (op : Oplog.op) =
-  let t = c.sys in
-  (match Fs_state.validate (cfs c) op with
-  | Ok () -> ()
-  | Error e -> fail e (Format.asprintf "%a" Oplog.pp_op op));
-  let entry = Oplog.make ~seq:c.next_seq ~client:c.cid op in
-  c.next_seq <- c.next_seq + 1;
-  let size = Oplog.size entry in
-  client_cpu c (t.prm.Params.fs_op_cost + Hw.Node.copy_work (prim c).node size);
-  Hw.Pm.write (prim c).node.Hw.Node.pm size;
-  let rec persist () =
-    match Oplog.Log.append c.lg entry with
-    | Ok () -> ()
-    | Error `Full ->
-        (* Head-of-line blocking: digestion must free log space. *)
-        Cond.signal c.digest_request;
-        client_cpu_release c;
-        Cond.await c.log_space;
-        persist ()
-  in
-  persist ();
-  c.logged_bytes <- c.logged_bytes + size;
-  (match Fs_state.apply (cfs c) op with
-  | Ok () -> ()
-  | Error e -> fail e "apply after validate");
-  (match op with
-  | Oplog.Write { inum; offset; data } ->
-      let m =
-        match Hashtbl.find_opt c.pending inum with
-        | Some m -> m
-        | None ->
-            let m = Extent_map.create () in
-            Hashtbl.add c.pending inum m;
-            m
-      in
-      Extent_map.insert m ~at:offset data entry.Oplog.seq
-  | Oplog.Unlink { inum; _ } -> Hashtbl.remove c.pending inum
-  | Oplog.Create _ | Oplog.Rename _ | Oplog.Truncate _ -> ());
-  (* Wake digestion when the log fills up. *)
-  if Oplog.Log.used_bytes c.lg >= Oplog.Log.capacity c.lg / digest_threshold
-  then Cond.signal c.digest_request;
-  (* BgRepl: proactively queue full chunks for replication. *)
-  if t.var = Bg_repl then begin
-    c.bg_enqueued_bytes <- c.bg_enqueued_bytes + size;
-    if c.bg_enqueued_bytes >= t.prm.Params.chunk_bytes then
-      bg_enqueue c ~upto:(c.next_seq - 1)
-  end
-
-let append_op c (op : Oplog.op) =
-  if Semaphore.available c.wlock = 0 then client_cpu_release c;
-  Semaphore.with_permit c.wlock (fun () -> append_op_locked c op)
-
-let alloc_fd c file =
-  let fd = c.next_fd in
-  c.next_fd <- c.next_fd + 1;
-  Hashtbl.replace c.fds fd file;
-  fd
-
-let the_file c fd =
-  match Hashtbl.find_opt c.fds fd with
-  | Some f -> f
-  | None -> fail Fs_state.Einval (Printf.sprintf "fd %d" fd)
-
-let do_create c path =
-  c.n_ops <- c.n_ops + 1;
-  client_cpu c c.sys.prm.Params.fs_op_cost;
-  let parent_path, name = Dfs_intf.split_path path in
-  let parent = resolve_exn c parent_path in
-  let inum = Fs_state.alloc_inum (cfs c) in
-  append_op c (Oplog.Create { parent; name; inum; dir = false });
-  alloc_fd c { fpath = path; inum; append_pos = 0 }
-
-let do_open c path =
-  c.n_ops <- c.n_ops + 1;
-  (* Host-local permission check: much cheaper than LineFS's NIC RPC. *)
-  client_cpu c c.sys.prm.Params.fs_op_cost;
-  let inum = resolve_exn c path in
-  if not (Fs_state.writable (cfs c) inum || Fs_state.readable (cfs c) inum)
-  then fail Fs_state.Eacces path;
-  alloc_fd c { fpath = path; inum; append_pos = Fs_state.file_size (cfs c) inum }
-
-let do_write c fd ~pos data =
-  c.n_ops <- c.n_ops + 1;
-  let f = the_file c fd in
-  append_op c (Oplog.Write { inum = f.inum; offset = pos; data });
-  let endpos = pos + Data.length data in
-  if endpos > f.append_pos then f.append_pos <- endpos;
-  c.n_written <- c.n_written + Data.length data
-
-let do_read c fd ~pos ~len =
-  c.n_ops <- c.n_ops + 1;
-  let f = the_file c fd in
-  let t = c.sys in
-  client_cpu c t.prm.Params.fs_op_cost;
-  let in_log =
-    match Hashtbl.find_opt c.pending f.inum with
-    | None -> false
-    | Some m ->
-        List.exists
-          (function `Data _ -> true | `Hole _ -> false)
-          (Extent_map.read_range m ~pos ~len)
-  in
-  if not in_log then begin
-    let depth = max 1 (Fs_state.extent_depth (cfs c) f.inum) in
-    client_cpu c (depth * t.prm.Params.read_index_cost)
-  end;
-  let actual = max 0 (min len (Fs_state.file_size (cfs c) f.inum - pos)) in
-  Hw.Pm.read (prim c).node.Hw.Node.pm actual;
-  client_cpu c (Hw.Node.copy_work (prim c).node actual);
-  match Fs_state.read (cfs c) ~inum:f.inum ~pos ~len with
-  | Ok d ->
-      c.n_read <- c.n_read + Data.length d;
-      d
-  | Error e -> fail e f.fpath
-
-let do_fsync c fd =
-  c.n_ops <- c.n_ops + 1;
-  (* Unknown fds are Einval everywhere (LineFS checks first). *)
-  ignore (the_file c fd);
-  let t = c.sys in
-  client_cpu c t.prm.Params.fs_op_cost;
-  let upto = c.next_seq - 1 in
-  client_cpu_release c;
-  if upto > 0 then ensure_replicated t c ~upto
-
-let do_mkdir c path =
-  c.n_ops <- c.n_ops + 1;
-  client_cpu c c.sys.prm.Params.fs_op_cost;
-  let parent_path, name = Dfs_intf.split_path path in
-  let parent = resolve_exn c parent_path in
-  let inum = Fs_state.alloc_inum (cfs c) in
-  append_op c (Oplog.Create { parent; name; inum; dir = true })
-
-let do_unlink c path =
-  c.n_ops <- c.n_ops + 1;
-  client_cpu c c.sys.prm.Params.fs_op_cost;
-  let parent_path, name = Dfs_intf.split_path path in
-  let parent = resolve_exn c parent_path in
-  let inum = resolve_exn c path in
-  append_op c (Oplog.Unlink { parent; name; inum })
-
-let do_rename c src dst =
-  c.n_ops <- c.n_ops + 1;
-  client_cpu c c.sys.prm.Params.fs_op_cost;
-  let src_parent_path, src_name = Dfs_intf.split_path src in
-  let dst_parent_path, dst_name = Dfs_intf.split_path dst in
-  let src_parent = resolve_exn c src_parent_path in
-  let dst_parent = resolve_exn c dst_parent_path in
-  let inum = resolve_exn c src in
-  append_op c
-    (Oplog.Rename { src_parent; src_name; dst_parent; dst_name; inum })
-
-let ops c =
+(* Assise behind LibFS: no leases, a host-local open check, and a full
+   log or a quarter-full one wakes the SharedFS digester. *)
+let backend t c =
   {
-    Dfs_intf.sysname = variant_name c.sys.var;
-    create = do_create c;
-    open_file = do_open c;
-    close =
-      (fun fd ->
-        c.n_ops <- c.n_ops + 1;
-        Hashtbl.remove c.fds fd;
-        client_cpu_release c);
-    write = (fun fd ~pos data -> do_write c fd ~pos data);
-    append =
-      (fun fd data ->
-        let f = the_file c fd in
-        do_write c fd ~pos:f.append_pos data);
-    read = (fun fd ~pos ~len -> do_read c fd ~pos ~len);
-    fsync = (fun fd -> do_fsync c fd);
-    mkdir = do_mkdir c;
-    unlink = do_unlink c;
-    rename = do_rename c;
-    file_size =
-      (fun path ->
-        match Fs_state.resolve (cfs c) path with
-        | Ok inum -> Some (Fs_state.file_size (cfs c) inum)
-        | Error _ -> None);
+    Libfs.sysname = variant_name t.var;
+    lease = (fun _ _ -> ());
+    open_check =
+      (fun _ path inum ->
+        (* Host-local permission check: much cheaper than LineFS's NIC
+           RPC, and the client keeps its core. *)
+        let fs = primary_fs t in
+        if not (Fs_state.writable fs inum || Fs_state.readable fs inum) then
+          Dfs_intf.fail Fs_state.Eacces path);
+    log_full = (fun _ -> Cond.signal c.digest_request);
+    appended =
+      (fun lib size ->
+        c.logged_bytes <- c.logged_bytes + size;
+        let lg = Libfs.log lib in
+        if Oplog.Log.used_bytes lg >= Oplog.Log.capacity lg / digest_threshold
+        then Cond.signal c.digest_request;
+        (* BgRepl: proactively queue full chunks for replication. *)
+        if t.var = Bg_repl then begin
+          c.bg_enqueued_bytes <- c.bg_enqueued_bytes + size;
+          if c.bg_enqueued_bytes >= t.prm.Params.chunk_bytes then
+            bg_enqueue c ~upto:(Libfs.last_seq lib)
+        end);
+    fsync = (fun lib upto -> ensure_replicated t lib c ~upto);
   }
 
 let add_client t ~id =
   let c =
     {
-      sys = t;
       cid = id;
-      lg = Oplog.Log.create ~capacity:t.prm.Params.log_bytes ();
-      pending = Hashtbl.create 16;
-      fds = Hashtbl.create 16;
-      next_fd = 3;
-      next_seq = 1;
       digested_seq = 0;
       replicated_seq = 0;
       bg_enqueued_seq = 0;
@@ -630,38 +426,38 @@ let add_client t ~id =
       ship_lock = Semaphore.create 1;
       bg_mark = 0;
       repl_progress = Cond.create ();
-      log_space = Cond.create ();
       digest_request = Cond.create ();
-      digest_done = Cond.create ();
       bg_queue = Mailbox.create ();
       completed_bg = Hashtbl.create 8;
-      n_ops = 0;
-      n_written = 0;
-      n_read = 0;
       stopping = false;
-      wlock = Semaphore.create 1;
-      tasks = Hashtbl.create 8;
     }
   in
-  start_digester t c;
+  let p = t.rts.(0) in
+  let lib =
+    Libfs.create ~prio:t.prio ~account:p.acct ~params:t.prm ~node:p.node
+      ~backend:(backend t c) ~fs:p.fs ~id ()
+  in
+  start_digester t lib c;
   if t.var = Bg_repl then start_bg_workers t c;
-  t.cls <- c :: t.cls;
-  c
+  let cl = { lib; cur = c } in
+  t.cls <- cl :: t.cls;
+  cl
 
-let client_log c = c.lg
+let ops c = Libfs.ops c.lib
+let client_log c = Libfs.log c.lib
 
 let flush_all t =
   List.iter
-    (fun c ->
-      let upto = Oplog.Log.last_seq c.lg in
-      if upto > c.replicated_seq then ensure_replicated t c ~upto;
-      if upto > c.digested_seq then digest_batch t c ~upto)
+    (fun { lib; cur = c } ->
+      let upto = Oplog.Log.last_seq (Libfs.log lib) in
+      if upto > c.replicated_seq then ensure_replicated t lib c ~upto;
+      if upto > c.digested_seq then digest_batch t lib c ~upto)
     t.cls
 
 let stop t =
   t.replenisher <- false;
   List.iter
-    (fun c ->
+    (fun { cur = c; _ } ->
       c.stopping <- true;
       Cond.broadcast c.digest_request)
     t.cls

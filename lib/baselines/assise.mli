@@ -16,7 +16,12 @@
       99.9th-percentile effect in Table 3).
 
     SharedFS digestion (publication to public PM) always runs on host
-    cores, on every node in the chain. *)
+    cores, on every node in the chain.
+
+    A client is the same {!Linefs.Libfs} LineFS uses — private PM log,
+    update index, read path — over a host-side backend: no leases, a
+    host-local open check, and SharedFS digestion plus the variant's
+    replication policy behind the log. *)
 
 open Sim
 

@@ -28,13 +28,10 @@ type t = {
   mutable cls : client list;
 }
 
-and file = { fpath : string; inum : int; mutable append_pos : int }
-
 and client = {
   sys : t;
   cid : int;
-  fds : (int, file) Hashtbl.t;
-  mutable next_fd : int;
+  fds : Dfs_intf.fd_table;
   win : Semaphore.t;
   mutable inflight : int;
   drained : Cond.t;
@@ -153,21 +150,9 @@ let drain c =
 
 let fail = Dfs_intf.fail
 
-let alloc_fd c file =
-  let fd = c.next_fd in
-  c.next_fd <- c.next_fd + 1;
-  Hashtbl.replace c.fds fd file;
-  fd
-
-let the_file c fd =
-  match Hashtbl.find_opt c.fds fd with
-  | Some f -> f
-  | None -> fail Fs_state.Einval (Printf.sprintf "fd %d" fd)
-
-let resolve_exn c path =
-  match Fs_state.resolve c.sys.fs path with
-  | Ok i -> i
-  | Error e -> fail e path
+let alloc_fd c file = Dfs_intf.alloc_fd c.fds file
+let the_file c fd = Dfs_intf.the_file c.fds fd
+let resolve_exn c path = Dfs_intf.resolve_exn c.sys.fs path
 
 let do_write c fd ~pos data =
   let f = the_file c fd in
@@ -216,7 +201,7 @@ let ops c =
           64;
         alloc_fd c
           { fpath = path; inum; append_pos = Fs_state.file_size c.sys.fs inum });
-    close = (fun fd -> Hashtbl.remove c.fds fd);
+    close = (fun fd -> Dfs_intf.close_fd c.fds fd);
     write = (fun fd ~pos data -> do_write c fd ~pos data);
     append =
       (fun fd data ->
@@ -250,7 +235,7 @@ let ops c =
     fsync =
       (fun fd ->
         (* Unknown fds are Einval everywhere (LineFS checks first). *)
-        ignore (the_file c fd : file);
+        ignore (the_file c fd : Dfs_intf.file);
         drain c);
     mkdir =
       (fun path ->
@@ -285,8 +270,7 @@ let add_client t ~id =
     {
       sys = t;
       cid = id;
-      fds = Hashtbl.create 16;
-      next_fd = 3;
+      fds = Dfs_intf.fd_table ();
       win = Semaphore.create window;
       inflight = 0;
       drained = Cond.create ();

@@ -141,7 +141,6 @@ let run ?mutate (spec : spec) =
       let dep = D.create ~params ~apply_on_publish:true ~nodes:3 () in
       dep_ref := Some dep;
       let mgr = Cluster.Manager.create ~heartbeat_interval:(Time.ms 1) () in
-      let clients_ref = ref [] in
       for i = 0 to D.node_count dep - 1 do
         let rt = D.node dep i in
         Cluster.Manager.register mgr ~id:i
@@ -159,7 +158,7 @@ let run ?mutate (spec : spec) =
               (Trace.Note (Printf.sprintf "service node %d" i));
             D.rebuild_chain dep ~up:(fun j ->
                 Cluster.Manager.service mgr j <> Cluster.Manager.Down);
-            List.iter Libfs.note_service_change !clients_ref)
+            D.note_service_change dep)
           ()
       done;
       Cluster.Manager.start mgr;
@@ -177,7 +176,6 @@ let run ?mutate (spec : spec) =
           in
           h := e :: !h);
       let c = D.add_client dep ~id:0 in
-      clients_ref := [ c ];
       List.iter
         (fun f ->
           Engine.spawn ~name:"litmus-fault" (fun () ->

@@ -316,7 +316,6 @@ let prepare (spec : spec) eng =
       let mgr =
         Cluster.Manager.create ~heartbeat_interval:(Time.ms 1) ()
       in
-      let clients_ref = ref [] in
       for i = 0 to D.node_count dep - 1 do
         let rt = D.node dep i in
         Cluster.Manager.register mgr ~id:i
@@ -342,7 +341,7 @@ let prepare (spec : spec) eng =
             | Cluster.Manager.Down -> note trace "service node %d: down" i);
             D.rebuild_chain dep ~up:(fun j ->
                 Cluster.Manager.service mgr j <> Cluster.Manager.Down);
-            List.iter Libfs.note_service_change !clients_ref)
+            D.note_service_change dep)
           ()
       done;
       Cluster.Manager.start mgr;
@@ -361,7 +360,6 @@ let prepare (spec : spec) eng =
       let clients =
         List.init spec.clients (fun i -> D.add_client dep ~id:i)
       in
-      clients_ref := clients;
       List.iter
         (fun f -> Engine.spawn ~name:"dst-fault" (fun () ->
              fault_proc trace net dep f))

@@ -8,12 +8,15 @@ type node_rt = {
   dfs_host_cpu : Stats.Busy.t;
 }
 
+(* A client and the pipeline kick of its NICFS backend. *)
+type client = { lib : Libfs.t; kick : unit -> unit }
+
 type t = {
   prm : Params.t;
   topo : Hw.Topology.t;
   rts : node_rt array;
   dfs_prio : Hw.Cpu.prio;
-  mutable cls : Libfs.t list;
+  mutable cls : client list;
   monitoring : bool;
 }
 
@@ -97,20 +100,73 @@ let rebuild_chain t ~up =
     t.rts;
   Nicfs.reeval_acks (primary t).nicfs
 
+(* The LineFS backend of a client on node [rt]: leases, open checks
+   and fsync are NICFS RPCs, and every chunk's worth of logged bytes
+   (or a full log) kicks the NICFS pipeline.  Returns the backend and
+   its kick. *)
+let nicfs_backend rt ~params ~id =
+  let from = Net.Loc.Host rt.node in
+  let unchunked = ref 0 in
+  let kick () =
+    Nicfs.start_pipeline rt.nicfs ~from ~client:id;
+    unchunked := 0
+  in
+  let backend =
+    {
+      Libfs.sysname = "LineFS";
+      lease =
+        (fun c inum ->
+          Libfs.ensure_lease c inum ~acquire:(fun () ->
+              Nicfs.lease_acquire rt.nicfs ~from ~client:id ~inum Lease.Write));
+      open_check =
+        (fun c path inum ->
+          (* Open permission check runs on the NICFS (and asks the
+             kernel worker to mmap public pages) — the Varmail-visible
+             cost (§5.3). *)
+          Libfs.cpu_release c;
+          match
+            Nicfs.open_check rt.nicfs ~from ~client:id ~inum ~write:true
+          with
+          | Ok () -> ()
+          | Error e -> Dfs_intf.fail e path);
+      log_full = (fun _ -> kick ());
+      appended =
+        (fun _ size ->
+          unchunked := !unchunked + size;
+          if !unchunked >= params.Params.chunk_bytes then kick ());
+      fsync =
+        (fun _ upto ->
+          Nicfs.fsync rt.nicfs ~from ~client:id ~upto_seq:upto);
+    }
+  in
+  (backend, kick)
+
 let add_client t ~id =
   let p = primary t in
+  let backend, kick = nicfs_backend p ~params:t.prm ~id in
   let c =
     Libfs.create ~prio:t.dfs_prio ~account:p.dfs_host_cpu ~params:t.prm
-      ~node:p.node ~nicfs:p.nicfs ~fs:p.fs ~id ()
+      ~node:p.node ~backend ~fs:p.fs ~id ()
   in
-  t.cls <- c :: t.cls;
+  Nicfs.register_client p.nicfs ~id ~log:(Libfs.log c)
+    ~on_published:(fun ~upto_seq -> Libfs.reclaim c ~upto_seq)
+    ~on_revoke:(fun ~inum -> Libfs.revoke_lease c ~inum);
+  t.cls <- { lib = c; kick } :: t.cls;
   c
 
-let clients t = List.rev t.cls
+let clients t = List.rev_map (fun c -> c.lib) t.cls
+
+(* The NICFS service level changed (crash-to-fallback, fail-back).
+   The endpoint itself retargets transparently — [start_pipeline]
+   always resolves the current plane — but kicks posted to a plane
+   that died with the old epoch are gone, so fire a fresh one per
+   client: the NICFS re-scans the log from its host-PM cursor and
+   chunks whatever the lost kicks covered. *)
+let note_service_change t = List.iter (fun c -> c.kick ()) (List.rev t.cls)
 
 let flush_all t =
   List.iter
-    (fun c -> Nicfs.flush (primary t).nicfs ~client:(Libfs.id c))
+    (fun c -> Nicfs.flush (primary t).nicfs ~client:(Libfs.id c.lib))
     t.cls
 
 let stop t =

@@ -54,9 +54,16 @@ val rebuild_chain : t -> up:(int -> bool) -> unit
 
 val add_client : t -> id:int -> Libfs.t
 (** Attach a client process on the primary (its LibFS charges host CPU
-    at [dfs_prio] and is accounted to the primary's [dfs_host_cpu]). *)
+    at [dfs_prio] and is accounted to the primary's [dfs_host_cpu]),
+    backed by the primary's NICFS and registered with it. *)
 
 val clients : t -> Libfs.t list
+
+val note_service_change : t -> unit
+(** Tell the clients their NICFS moved planes (crash-to-host-fallback
+    or fail-back).  RPC endpoints retarget transparently, but pipeline
+    kicks queued at the dead plane are lost — this fires a fresh kick
+    per client so the NICFS re-chunks from its durable cursor. *)
 
 val flush_all : t -> unit
 (** Drain every client's pipelines (teardown barrier). *)

@@ -50,3 +50,31 @@ let split_path path =
   | Some i ->
       ( String.sub path 0 i,
         String.sub path (i + 1) (String.length path - i - 1) )
+
+(** Resolve [path] against [fs], raising {!Fs_error} on failure. *)
+let resolve_exn fs path =
+  match Storage.Fs_state.resolve fs path with
+  | Ok i -> i
+  | Error e -> fail e path
+
+(** An open file as a client library sees it. *)
+type file = { fpath : string; inum : int; mutable append_pos : int }
+
+(** A client's open-file table: fds are handed out from 3 upward. *)
+type fd_table = { files : (fd, file) Hashtbl.t; mutable next_fd : fd }
+
+let fd_table () = { files = Hashtbl.create 16; next_fd = 3 }
+
+let alloc_fd t file =
+  let fd = t.next_fd in
+  t.next_fd <- t.next_fd + 1;
+  Hashtbl.replace t.files fd file;
+  fd
+
+(** The file behind [fd]; unknown fds are [Einval] in every backend. *)
+let the_file t fd =
+  match Hashtbl.find_opt t.files fd with
+  | Some f -> f
+  | None -> fail Storage.Fs_state.Einval (Printf.sprintf "fd %d" fd)
+
+let close_fd t fd = Hashtbl.remove t.files fd

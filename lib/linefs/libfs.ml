@@ -1,20 +1,16 @@
 open Sim
 open Storage
 
-type file = { fpath : string; inum : int; mutable append_pos : int }
-
 type t = {
   cid : int;
   params : Params.t;
   node : Hw.Node.t;
-  nicfs : Nicfs.t;
+  backend : backend;
   fs : Fs_state.t;
   lg : Oplog.Log.t;
   mutable next_seq : int;
   pending : (int, int Extent_map.t) Hashtbl.t; (* inum -> unpublished *)
-  fds : (int, file) Hashtbl.t;
-  mutable next_fd : int;
-  mutable unchunked : int; (* bytes logged since the last pipeline kick *)
+  fds : Dfs_intf.fd_table;
   log_space : Cond.t;
   wlock : Semaphore.t; (* serializes log appends across client threads *)
   leases : (int, Time.t) Hashtbl.t; (* cached write leases *)
@@ -32,7 +28,14 @@ type t = {
   mutable n_lease_miss : int;
 }
 
-let host_loc t = Net.Loc.Host t.node
+and backend = {
+  sysname : string;
+  lease : t -> int -> unit;
+  open_check : t -> string -> int -> unit;
+  log_full : t -> unit;
+  appended : t -> int -> unit;
+  fsync : t -> int -> unit;
+}
 
 (* The calling thread's sticky CPU context: LibFS work runs on the
    core the application thread already occupies. *)
@@ -50,60 +53,42 @@ let cpu t work = Hw.Cpu.task_run (ctask t) work
 (* Give the core up before a blocking wait (RPC, log space). *)
 let cpu_release t = Hw.Cpu.task_release (ctask t)
 
-let create ?(prio = Hw.Cpu.prio_normal) ?account ~params ~node ~nicfs ~fs ~id
+let create ?(prio = Hw.Cpu.prio_normal) ?account ~params ~node ~backend ~fs ~id
     () =
-  let t =
-    {
-      cid = id;
-      params;
-      node;
-      nicfs;
-      fs;
-      lg = Oplog.Log.create ~capacity:params.Params.log_bytes ();
-      next_seq = 1;
-      pending = Hashtbl.create 16;
-      fds = Hashtbl.create 16;
-      next_fd = 3;
-      unchunked = 0;
-      log_space = Cond.create ();
-      wlock = Semaphore.create 1;
-      leases = Hashtbl.create 16;
-      revgen = Hashtbl.create 16;
-      prio;
-      account;
-      tasks = Hashtbl.create 8;
-      n_ops = 0;
-      n_written = 0;
-      n_read = 0;
-      n_fsync = 0;
-      n_lease_hit = 0;
-      n_lease_miss = 0;
-    }
-  in
-  Nicfs.register_client nicfs ~id ~log:t.lg
-    ~on_published:(fun ~upto_seq ->
-      ignore (Oplog.Log.reclaim_upto t.lg ~seq:upto_seq : int);
-      Hashtbl.iter
-        (fun _ m -> Extent_map.remove_if m (fun seq -> seq <= upto_seq))
-        t.pending;
-      Cond.broadcast t.log_space)
-    ~on_revoke:(fun ~inum ->
-      (* Quiesce: wait out any in-flight logged operation before the
-         lease disappears from the cache. *)
-      Semaphore.with_permit t.wlock (fun () ->
-          Hashtbl.remove t.leases inum;
-          (* Mark the revocation so a [`Granted] response still in
-             flight for this inode is recognized as stale: the server
-             granted it BEFORE this revocation, so caching it would let
-             us keep logging under a lease the server already gave
-             away (or swept in an epoch bump). *)
-          let g =
-            match Hashtbl.find_opt t.revgen inum with
-            | Some g -> g
-            | None -> 0
-          in
-          Hashtbl.replace t.revgen inum (g + 1)));
-  t
+  {
+    cid = id;
+    params;
+    node;
+    backend;
+    fs;
+    lg = Oplog.Log.create ~capacity:params.Params.log_bytes ();
+    next_seq = 1;
+    pending = Hashtbl.create 16;
+    fds = Dfs_intf.fd_table ();
+    log_space = Cond.create ();
+    wlock = Semaphore.create 1;
+    leases = Hashtbl.create 16;
+    revgen = Hashtbl.create 16;
+    prio;
+    account;
+    tasks = Hashtbl.create 8;
+    n_ops = 0;
+    n_written = 0;
+    n_read = 0;
+    n_fsync = 0;
+    n_lease_hit = 0;
+    n_lease_miss = 0;
+  }
+
+(* Everything up to [upto_seq] is safe elsewhere (published by the
+   NICFS, or digested by a host SharedFS): drop it from the log and the
+   update index, and wake appenders waiting for log space. *)
+let reclaim t ~upto_seq =
+  ignore (Oplog.Log.reclaim_upto t.lg ~seq:upto_seq : int);
+  Hashtbl.iter
+    (fun _ m -> Extent_map.remove_if m (fun seq -> seq <= upto_seq))
+    t.pending;
+  Cond.broadcast t.log_space
 
 let id t = t.cid
 let log t = t.lg
@@ -116,7 +101,9 @@ let pending_bytes t = Oplog.Log.used_bytes t.lg
 
 let lease_margin = Time.ms 100
 
-let ensure_lease t inum =
+(* A cached write lease on [inum], fetched with [acquire] (the lease
+   manager's RPC) on a miss. *)
+let ensure_lease t inum ~acquire =
   let now = Engine.now () in
   match Hashtbl.find_opt t.leases inum with
   | Some expiry when expiry - lease_margin > now -> t.n_lease_hit <- t.n_lease_hit + 1
@@ -126,12 +113,9 @@ let ensure_lease t inum =
       let gen () =
         match Hashtbl.find_opt t.revgen inum with Some g -> g | None -> 0
       in
-      let rec acquire () =
+      let rec go () =
         let g0 = gen () in
-        match
-          Nicfs.lease_acquire t.nicfs ~from:(host_loc t) ~client:t.cid ~inum
-            Lease.Write
-        with
+        match acquire () with
         | `Granted when gen () = g0 ->
             Hashtbl.replace t.leases inum
               (Engine.now () + t.params.Params.lease_duration)
@@ -140,28 +124,33 @@ let ensure_lease t inum =
                with the grant in flight: the lease is already gone
                server-side.  Caching it would be a single-writer
                violation; go around again. *)
-            acquire ()
+            go ()
         | `Conflict ->
             Engine.sleep (Time.us 100);
-            acquire ()
+            go ()
       in
-      acquire ()
+      go ()
+
+let revoke_lease t ~inum =
+  (* Quiesce: wait out any in-flight logged operation before the
+     lease disappears from the cache. *)
+  Semaphore.with_permit t.wlock (fun () ->
+      Hashtbl.remove t.leases inum;
+      (* Mark the revocation so a [`Granted] response still in
+         flight for this inode is recognized as stale: the server
+         granted it BEFORE this revocation, so caching it would let
+         us keep logging under a lease the server already gave
+         away (or swept in an epoch bump). *)
+      let g =
+        match Hashtbl.find_opt t.revgen inum with
+        | Some g -> g
+        | None -> 0
+      in
+      Hashtbl.replace t.revgen inum (g + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Logging                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let kick_pipeline t =
-  Nicfs.start_pipeline t.nicfs ~from:(host_loc t) ~client:t.cid;
-  t.unchunked <- 0
-
-(* The NICFS service level changed (crash-to-fallback, fail-back).
-   The endpoint itself retargets transparently — [start_pipeline]
-   always resolves the current plane — but kicks posted to a plane
-   that died with the old epoch are gone, so fire a fresh one: the
-   NICFS re-scans the log from its host-PM cursor and chunks whatever
-   the lost kicks covered. *)
-let note_service_change t = kick_pipeline t
 
 (* Observer hook: test harnesses capture every persisted entry here,
    at append time, before asynchronous publication can reclaim it from
@@ -212,9 +201,9 @@ let append_op_locked t (op : Oplog.op) =
     match Oplog.Log.append t.lg entry with
     | Ok () -> ()
     | Error `Full ->
-        (* Make sure the publisher is working on our backlog, then
-           wait for reclamation. *)
-        kick_pipeline t;
+        (* Make sure the backend is draining our backlog, then wait
+           for reclamation. *)
+        t.backend.log_full t;
         cpu_release t;
         Cond.await t.log_space;
         persist ()
@@ -239,8 +228,7 @@ let append_op_locked t (op : Oplog.op) =
       Extent_map.insert m ~at:offset data entry.Oplog.seq
   | Oplog.Unlink { inum; _ } -> Hashtbl.remove t.pending inum
   | Oplog.Create _ | Oplog.Rename _ | Oplog.Truncate _ -> ());
-  t.unchunked <- t.unchunked + size;
-  if t.unchunked >= t.params.Params.chunk_bytes then kick_pipeline t
+  t.backend.appended t size
 
 let append_op t (op : Oplog.op) =
   (* Do not pin a core while queueing behind another thread's append. *)
@@ -251,60 +239,40 @@ let append_op t (op : Oplog.op) =
 (* The POSIX-ish operations                                            *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_exn t path =
-  match Fs_state.resolve t.fs path with
-  | Ok i -> i
-  | Error e -> Dfs_intf.fail e path
-
-let alloc_fd t file =
-  let fd = t.next_fd in
-  t.next_fd <- t.next_fd + 1;
-  Hashtbl.replace t.fds fd file;
-  fd
-
-let the_file t fd =
-  match Hashtbl.find_opt t.fds fd with
-  | Some f -> f
-  | None -> Dfs_intf.fail Fs_state.Einval (Printf.sprintf "fd %d" fd)
+let resolve_exn t path = Dfs_intf.resolve_exn t.fs path
+let the_file t fd = Dfs_intf.the_file t.fds fd
+let lease t inum = t.backend.lease t inum
 
 let do_create t path =
   t.n_ops <- t.n_ops + 1;
   cpu t t.params.Params.fs_op_cost;
   let parent_path, name = Dfs_intf.split_path path in
   let parent = resolve_exn t parent_path in
-  ensure_lease t parent;
+  lease t parent;
   let inum = Fs_state.alloc_inum t.fs in
   append_op t (Oplog.Create { parent; name; inum; dir = false });
-  ensure_lease t inum;
-  alloc_fd t { fpath = path; inum; append_pos = 0 }
+  lease t inum;
+  Dfs_intf.alloc_fd t.fds { fpath = path; inum; append_pos = 0 }
 
 let do_open t path =
   t.n_ops <- t.n_ops + 1;
   cpu t t.params.Params.fs_op_cost;
   let inum = resolve_exn t path in
-  (* Open permission check runs on the NICFS (and asks the kernel
-     worker to mmap public pages) — the Varmail-visible cost (§5.3). *)
-  cpu_release t;
-  (match
-     Nicfs.open_check t.nicfs ~from:(host_loc t) ~client:t.cid ~inum
-       ~write:true
-   with
-  | Ok () -> ()
-  | Error e -> Dfs_intf.fail e path);
-  ensure_lease t inum;
-  alloc_fd t
+  t.backend.open_check t path inum;
+  lease t inum;
+  Dfs_intf.alloc_fd t.fds
     { fpath = path; inum; append_pos = Fs_state.file_size t.fs inum }
 
 let do_close t fd =
   t.n_ops <- t.n_ops + 1;
-  Hashtbl.remove t.fds fd;
+  Dfs_intf.close_fd t.fds fd;
   (* Natural park point: do not pin a core while the file is closed. *)
   cpu_release t
 
 let do_write t fd ~pos data =
   t.n_ops <- t.n_ops + 1;
   let f = the_file t fd in
-  ensure_lease t f.inum;
+  lease t f.inum;
   append_op t (Oplog.Write { inum = f.inum; offset = pos; data });
   let endpos = pos + Data.length data in
   if endpos > f.append_pos then f.append_pos <- endpos;
@@ -321,11 +289,10 @@ let do_read t fd ~pos ~len =
   let in_log =
     match Hashtbl.find_opt t.pending f.inum with
     | None -> false
-    | Some m -> (
-        match Extent_map.read_range m ~pos ~len with
-        | [] -> false
-        | pieces ->
-            List.exists (function `Data _ -> true | `Hole _ -> false) pieces)
+    | Some m ->
+        List.exists
+          (function `Data _ -> true | `Hole _ -> false)
+          (Extent_map.read_range m ~pos ~len)
   in
   if not in_log then begin
     (* Public PM path: walk the per-file extent tree. *)
@@ -345,19 +312,18 @@ let do_read t fd ~pos ~len =
 let do_fsync t fd =
   t.n_ops <- t.n_ops + 1;
   t.n_fsync <- t.n_fsync + 1;
-  let _f = the_file t fd in
+  ignore (the_file t fd : Dfs_intf.file);
   cpu t t.params.Params.fs_op_cost;
   let upto = t.next_seq - 1 in
   cpu_release t;
-  if upto > 0 then
-    Nicfs.fsync t.nicfs ~from:(host_loc t) ~client:t.cid ~upto_seq:upto
+  if upto > 0 then t.backend.fsync t upto
 
 let do_mkdir t path =
   t.n_ops <- t.n_ops + 1;
   cpu t t.params.Params.fs_op_cost;
   let parent_path, name = Dfs_intf.split_path path in
   let parent = resolve_exn t parent_path in
-  ensure_lease t parent;
+  lease t parent;
   let inum = Fs_state.alloc_inum t.fs in
   append_op t (Oplog.Create { parent; name; inum; dir = true })
 
@@ -366,7 +332,7 @@ let do_unlink t path =
   cpu t t.params.Params.fs_op_cost;
   let parent_path, name = Dfs_intf.split_path path in
   let parent = resolve_exn t parent_path in
-  ensure_lease t parent;
+  lease t parent;
   let inum = resolve_exn t path in
   append_op t (Oplog.Unlink { parent; name; inum })
 
@@ -377,8 +343,8 @@ let do_rename t src dst =
   let dst_parent_path, dst_name = Dfs_intf.split_path dst in
   let src_parent = resolve_exn t src_parent_path in
   let dst_parent = resolve_exn t dst_parent_path in
-  ensure_lease t src_parent;
-  if dst_parent <> src_parent then ensure_lease t dst_parent;
+  lease t src_parent;
+  if dst_parent <> src_parent then lease t dst_parent;
   let inum = resolve_exn t src in
   append_op t
     (Oplog.Rename { src_parent; src_name; dst_parent; dst_name; inum })
@@ -390,7 +356,7 @@ let do_file_size t path =
 
 let ops t =
   {
-    Dfs_intf.sysname = "LineFS";
+    Dfs_intf.sysname = t.backend.sysname;
     create = (fun path -> do_create t path);
     open_file = (fun path -> do_open t path);
     close = (fun fd -> do_close t fd);

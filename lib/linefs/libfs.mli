@@ -1,29 +1,50 @@
 (** LibFS: the per-process client library (§3.2).
 
     Intercepts file-system calls, persists data and metadata to the
-    client-private PM log with fast host cores, serves reads from the
-    in-memory update index or from public PM, and coordinates with the
-    local NICFS: asynchronous pipeline kicks when a chunk's worth of
-    updates has accumulated, a synchronous low-latency RPC on fsync,
-    lease acquisition, and open permission checks. *)
+    client-private PM log with fast host cores, and serves reads from
+    the in-memory update index or from public PM.  The same client
+    library serves LineFS and the Assise baselines: what happens to the
+    log afterwards — publication and replication — is the business of
+    a {!backend}: the NICFS on the local SmartNIC for LineFS
+    ({!Deployment}), host-side SharedFS digestion and chain
+    replication for Assise. *)
 
 open Sim
 
 type t
+
+(** The places where the systems behind the client differ.  Every
+    function runs in the calling client thread. *)
+type backend = {
+  sysname : string;  (** For reports: "LineFS", "Assise", ... *)
+  lease : t -> int -> unit;
+      (** Hold a write lease on the inode before it is mutated. *)
+  open_check : t -> string -> int -> unit;
+      (** Permission check for opening [path] (resolved to [inum]);
+          raises {!Dfs_intf.Fs_error} on denial. *)
+  log_full : t -> unit;
+      (** The log has no room for the next entry: get it drained.  The
+          client then parks until {!reclaim} frees space. *)
+  appended : t -> int -> unit;
+      (** An entry of the given size was persisted to the log. *)
+  fsync : t -> int -> unit;
+      (** Block until every entry up to the given sequence number is
+          durable and replicated. *)
+}
 
 val create :
   ?prio:Hw.Cpu.prio ->
   ?account:Stats.Busy.t ->
   params:Params.t ->
   node:Hw.Node.t ->
-  nicfs:Nicfs.t ->
+  backend:backend ->
   fs:Storage.Fs_state.t ->
   id:int ->
   unit ->
   t
 (** Attach a client to its node. [account] receives the host CPU time
     LibFS spends (DFS cycles in client context — what Table 1 counts).
-    Registers the client and its log with the NICFS. *)
+    [fs] is the node's public file-system state. *)
 
 val id : t -> int
 val ops : t -> Dfs_intf.ops
@@ -47,11 +68,25 @@ val last_seq : t -> int
 val pending_bytes : t -> int
 (** Unreclaimed bytes in the private log. *)
 
-val note_service_change : t -> unit
-(** Tell the client its NICFS moved planes (crash-to-host-fallback or
-    fail-back).  RPC endpoints retarget transparently, but pipeline
-    kicks queued at the dead plane are lost — this fires a fresh kick
-    so the NICFS re-chunks from its durable cursor. *)
+val reclaim : t -> upto_seq:int -> unit
+(** Entries up to [upto_seq] are safe outside the log (published, or
+    digested into public PM): reclaim their log space and drop them
+    from the update index. *)
+
+(** {1 For backends} *)
+
+val cpu_release : t -> unit
+(** Give up the calling thread's core before a blocking wait. *)
+
+val ensure_lease :
+  t -> int -> acquire:(unit -> [ `Granted | `Conflict ]) -> unit
+(** Serve a write lease on the inode from the client's lease cache, or
+    on a miss release the core and call [acquire] (the lease manager's
+    RPC) until it grants one that no concurrent revocation overtook. *)
+
+val revoke_lease : t -> inum:int -> unit
+(** Drop a revoked lease from the cache once in-flight appends have
+    finished. *)
 
 (** {1 Counters} *)
 

@@ -90,11 +90,8 @@ type t = {
   mutable fb_cserver : (cmsg, cresp) Net.Rpc.t option;
   mutable fb_episode : int;
   (* Replication-chain membership as of the last (re)configuration:
-     the downstream node ids whose acks complete a chunk, or [None]
-     for the legacy fixed-threshold behaviour (any [replicas - 1]
-     ackers). *)
-  mutable repl_targets : int list option;
-  mutable required_acks : int;
+     the downstream node ids whose acks complete a chunk. *)
+  mutable repl_targets : int list;
   (* Byzantine-fabric hardening state (only exercised under fault
      injection).  [retired] is a bounded retention cache of recently
      retired chunks on the primary, so a replica's recovery scrub can
@@ -720,20 +717,10 @@ let handle_repl_direct t ~chunk:(c : Chunk.t) ~origin =
   send_ack t origin c
 
 (* A chunk's ack set is complete when the configured replica set has
-   acked.  [repl_targets = None] is the legacy fixed threshold: any
-   [replicas - 1] distinct ackers.  With an explicit target list only
-   members count — an ack from a node since dropped from the chain
-   must not stand in for a surviving replica that never persisted. *)
-let acked_enough t ackers =
-  let counted =
-    match t.repl_targets with
-    | None -> Hashtbl.length ackers
-    | Some targets ->
-        List.fold_left
-          (fun n id -> if Hashtbl.mem ackers id then n + 1 else n)
-          0 targets
-  in
-  counted >= t.required_acks
+   acked.  Only members count — an ack from a node since dropped from
+   the chain must not stand in for a surviving replica that never
+   persisted. *)
+let acked_enough t ackers = List.for_all (Hashtbl.mem ackers) t.repl_targets
 
 let handle_ack t ~client ~node ~idx ~last_seq ~sent_at =
   Stats.Series.add t.ack_lat (Time.to_us_f (Engine.now () - sent_at));
@@ -752,9 +739,7 @@ let handle_ack t ~client ~node ~idx ~last_seq ~sent_at =
             end
           end)
 
-let set_repl_targets t ~targets =
-  t.repl_targets <- Some targets;
-  t.required_acks <- List.length targets
+let set_repl_targets t ~targets = t.repl_targets <- targets
 
 (* After a chain reconfiguration shrank the replica set, ack sets that
    were short only of dead nodes' acks are now complete.  Scan and
@@ -1053,8 +1038,7 @@ let create ?(pipeline_parallelism = true) ?(coalescing = false)
         fb_dserver = None;
         fb_cserver = None;
         fb_episode = 0;
-        repl_targets = None;
-        required_acks = max 0 (params.Params.replicas - 1);
+        repl_targets = [];
         retired = Hashtbl.create 8;
         retired_fifo = Queue.create ();
         torn_pending = false;

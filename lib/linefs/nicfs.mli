@@ -100,8 +100,7 @@ val in_fallback : t -> bool
 
 val set_repl_targets : t -> targets:int list -> unit
 (** Declare the exact replica set whose acks complete a chunk (node
-    ids downstream of this node in the current chain).  Until called,
-    the legacy rule applies: any [replicas - 1] distinct ackers. *)
+    ids downstream of this node in the current chain). *)
 
 val reeval_acks : t -> unit
 (** Re-evaluate outstanding ack sets against the (shrunk) target set;

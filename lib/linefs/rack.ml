@@ -8,13 +8,10 @@ let groups_of ~nodes ~group_size =
     invalid_arg "Rack: nodes must be a positive multiple of group_size";
   nodes / group_size
 
-let create ?cfg ?params ?pipeline_parallelism ?kworker_mode ?dfs_prio
-    ?compression ?coalescing ?monitor ?apply_on_publish ~nodes ~group_size () =
+let create ?params ~nodes ~group_size () =
   let groups =
     Array.init (groups_of ~nodes ~group_size) (fun _ ->
-        Deployment.create ?cfg ?params ?pipeline_parallelism ?kworker_mode
-          ?dfs_prio ?compression ?coalescing ?monitor ?apply_on_publish
-          ~nodes:group_size ())
+        Deployment.create ?params ~nodes:group_size ())
   in
   { groups; group_size }
 

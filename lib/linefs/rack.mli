@@ -20,22 +20,9 @@
 type t
 (** A rack whose groups all live on one engine. *)
 
-val create :
-  ?cfg:Hw.Config.t ->
-  ?params:Params.t ->
-  ?pipeline_parallelism:bool ->
-  ?kworker_mode:Kworker.copy_mode ->
-  ?dfs_prio:Hw.Cpu.prio ->
-  ?compression:bool ->
-  ?coalescing:bool ->
-  ?monitor:bool ->
-  ?apply_on_publish:bool ->
-  nodes:int ->
-  group_size:int ->
-  unit ->
-  t
-(** [nodes] must be a positive multiple of [group_size].  Options are
-    forwarded to every group's {!Deployment.create}.  Process context
+val create : ?params:Params.t -> nodes:int -> group_size:int -> unit -> t
+(** [nodes] must be a positive multiple of [group_size].  Every group
+    is a default {!Deployment.create} with [params].  Process context
     required. *)
 
 val groups_of : nodes:int -> group_size:int -> int

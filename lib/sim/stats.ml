@@ -107,16 +107,6 @@ module Timeseries = struct
       (buckets t)
 end
 
-module Counter = struct
-  type t = { mutable v : int }
-
-  let create () = { v = 0 }
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let get t = t.v
-  let reset t = t.v <- 0
-end
-
 module Busy = struct
   type t = { mutable busy : Time.t }
 

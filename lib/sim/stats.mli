@@ -39,17 +39,6 @@ module Timeseries : sig
       divided by the bucket width in seconds. *)
 end
 
-(** Monotonic counter. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-  val reset : t -> unit
-end
-
 (** Busy-time tracker: integrates the time a resource spends occupied,
     for utilization reports (e.g. CPU cores used on average). *)
 module Busy : sig

@@ -11,18 +11,19 @@
 # reordering, corruption, torn oplog tails, bit-rot) over 50 seeds
 # with its own determinism re-check.
 # Finally the multicore smoke: the scaled figures executed over 4
-# domains (plus a multi-instance linefs_sim run whose per-instance
-# outputs must match byte-for-byte), and the scale smoke: an 8-node
-# rack of replica groups with cohort clients, batched one engine per
-# group, byte-identical at 1, 2 and 4 domains and on every one of ten
-# repeated 2-domain runs.  These check correctness of the batch
-# runner, not speed — the events/s trajectory is bench.sh's job.  The
-# committed BENCH_wallclock.json is validated up front: it must carry
-# the harness's gates object with every gate evaluated and above its
-# recorded floor.  The fault-injection sweeps run over 4 domains too:
-# the injection hook and observers are engine-local, so independent
-# scenarios batch one engine each (dst_sweep cross-checks one batched
-# fingerprint against a sequential run).
+# domains (plus multi-instance linefs_sim runs of LineFS and of
+# Assise-BgRepl whose per-instance outputs must match byte-for-byte),
+# and the scale smoke: an 8-node rack of replica groups with cohort
+# clients, batched one engine per group, byte-identical at 1, 2 and 4
+# domains and on every one of ten repeated 2-domain runs.  These check
+# correctness of the batch runner, not speed — the events/s trajectory
+# is bench.sh's job.  The committed BENCH_wallclock.json is validated
+# up front: it must carry the harness's gates object with every gate
+# evaluated and above its recorded floor.  The fault-injection sweeps
+# run over 4 domains too: the injection hook and observers are
+# engine-local, so independent scenarios batch one engine each
+# (dst_sweep cross-checks one batched fingerprint against a sequential
+# run).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -65,6 +66,8 @@ echo "committed-bench gate: all gates evaluated and above floor"
 
 # ---- multicore smoke --------------------------------------------------
 dune exec bin/linefs_sim.exe -- --file-mb 16 --instances 4 --domains 4
+dune exec bin/linefs_sim.exe -- --system assise-bg --file-mb 16 \
+  --instances 2 --domains 2
 
 # ---- scale smoke ------------------------------------------------------
 # Rack-scale path: an 8-node rack (2 replica groups of 4) driven by

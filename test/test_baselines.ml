@@ -157,6 +157,32 @@ let test_assise_log_replay () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "resolve: %s" (Fs_state.error_to_string e))
 
+let test_assise_log_wraps variant () =
+  (* Four logs' worth through one client: appends block on a full log
+     until SharedFS digestion reclaims it, and reads must still see
+     every byte, whether it is still in the log or already digested. *)
+  with_assise ~variant (fun sys ->
+      let c = Assise.add_client sys ~id:1 in
+      let ops = Assise.ops c in
+      let piece = kib 64 in
+      let pieces = 4 * test_params.Params.log_bytes / piece in
+      let fd = ops.Dfs_intf.create "/big" in
+      for i = 0 to pieces - 1 do
+        ops.Dfs_intf.append fd (Data.synthetic ~seed:i ~len:piece)
+      done;
+      ops.Dfs_intf.fsync fd;
+      Alcotest.(check (option int))
+        "size" (Some (pieces * piece))
+        (ops.Dfs_intf.file_size "/big");
+      for i = 0 to pieces - 1 do
+        let d = ops.Dfs_intf.read fd ~pos:(i * piece) ~len:piece in
+        if not (Data.equal d (Data.synthetic ~seed:i ~len:piece)) then
+          Alcotest.failf "piece %d differs" i
+      done;
+      Assise.flush_all sys;
+      Alcotest.(check int) "log drained" 0
+        (Oplog.Log.used_bytes (Assise.client_log c)))
+
 let test_ceph_write_path () =
   run_sim (fun () ->
       let sys = Cephlike.create ~nodes:3 () in
@@ -245,6 +271,11 @@ let () =
           tc "bg-repl overlaps" `Quick test_bg_repl_overlaps;
           tc "hyperloop saves cpu" `Quick test_hyperloop_no_replica_poll;
           tc "log replay" `Quick test_assise_log_replay;
+          tc "log wraps (assise)" `Quick
+            (test_assise_log_wraps Assise.Pessimistic);
+          tc "log wraps (bg-repl)" `Quick (test_assise_log_wraps Assise.Bg_repl);
+          tc "log wraps (hyperloop)" `Quick
+            (test_assise_log_wraps Assise.Hyperloop);
         ] );
       ( "cephlike",
         [
