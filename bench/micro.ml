@@ -117,6 +117,25 @@ let lzw_decode_256k =
   Test.make ~name:"lzw.decode-256KiB"
     (Staged.stage (fun () -> ignore (Compress.Lzw.decode enc : Bytes.t)))
 
+let rng_int_1m =
+  let r = Sim.Rng.create 5 in
+  Test.make ~name:"rng.int-1M"
+    (Staged.stage (fun () ->
+         for _ = 1 to 1_000_000 do
+           ignore (Sys.opaque_identity (Sim.Rng.int r 1000))
+         done))
+
+(* Tencent Sort's merge-phase kernel: one sorter's share of a 200 k
+   record run, ordered by key. *)
+let tsort_key_sort_50k =
+  let flat = Bytes.create (50_000 * 100) in
+  let () = Sim.Rng.fill_bytes (Sim.Rng.create 11) flat in
+  Test.make ~name:"tsort.key-sort-50k"
+    (Staged.stage (fun () ->
+         ignore
+           (Workloads.Tencent_sort.key_order flat ~record_bytes:100
+             : int array)))
+
 let heap_churn =
   Test.make ~name:"heap.push+pop-10k"
     (Staged.stage (fun () ->
@@ -140,6 +159,8 @@ let all_tests =
     crc32_rope_1m;
     lzw_encode_data_256k;
     lzw_decode_256k;
+    rng_int_1m;
+    tsort_key_sort_50k;
     heap_churn;
   ]
 

@@ -3,16 +3,21 @@
    trivially in lock-step; chunk-sized inputs (<= 4 MB) rarely benefit
    from resets anyway.
 
-   The encoder is built for the hot replication path:
-   - the dictionary is a reusable open-addressed int table (no
-     per-encode Hashtbl, no boxing, generation-stamped so reuse is a
-     single counter bump);
+   The encoder is built for the hot replication path, where NICFS only
+   needs the compressed *length* of each chunk:
+   - the dictionary is a reusable open-addressed table of packed ints,
+     one load per probe (no per-encode Hashtbl, no boxing,
+     generation-stamped so reuse is a single counter bump);
+   - one byte loop serves encoding and length counting: it keeps the
+     automaton state (current prefix code, next free code) in locals
+     and makes no calls, staging emitted codes per window; counting
+     only adds up the staged codes, encoding also bit-packs them;
    - codes are packed into a preallocated [bytes] sized from the worst
      case, not a growing [Buffer];
    - [encode_data] consumes payload slices directly — real spans are
-     read in place, synthetic spans are fed from generator words, zero
-     runs feed constant bytes — so a 4 MB chunk is never materialized
-     just to measure its wire size. *)
+     read in place, synthetic spans are generated through a small
+     window, zero runs feed constant bytes — so a 4 MB chunk is never
+     materialized just to measure its wire size. *)
 
 let max_code = 4096
 let first_free = 256
@@ -20,66 +25,73 @@ let first_free = 256
 (* -------------------- dictionary -------------------- *)
 
 (* Open addressing, linear probing.  Keys are [(prefix_code << 8) lor
-   byte] (20 bits); capacity 16384 keeps load under 25% for the 3840
-   insertable entries.  A slot is live iff its stamp equals the current
-   generation, so "clearing" is [incr generation].
+   byte] (20 bits); capacity 32768 keeps load under 12% for the 3840
+   insertable entries, so most probes end at the first slot (on
+   Tencent-Sort-shaped chunks 16384 slots ran ~15% slower and 65536 no
+   faster).  A slot packs generation, key and code into one int:
 
-   The whole dictionary (plus the zero-run memo below) is one record,
-   held in domain-local storage: engines on different domains (batched
-   simulations) each get their own scratch state
-   instead of racing on globals. *)
-let dict_bits = 14
+     slot = (gen lsl 32) lor (key lsl 12) lor code
+
+   so a probe is a single load: [slot lsr 12] equals [(gen lsl 20) lor
+   key] on a hit, and a slot whose generation is not the current one is
+   free.  "Clearing" is a generation bump; slots start at generation 0,
+   which is never current.
+
+   Zero-run memo: replicated payloads are dominated by runs of zeros,
+   for which the encoder keeps probing the same (w, 0) keys.
+   [zmemo.(w)] caches the dictionary's answer for prefix code [w]
+   followed by a zero byte, packed as [(gen lsl 12) lor code]: the
+   entry is valid iff its generation is current; [code] is the
+   extended code, or 0 when the dictionary is frozen and the key will
+   never appear (an extension is never a base code, so 0 is free).
+
+   The whole dictionary is one record, held in domain-local storage:
+   engines on different domains (batched simulations) each get their
+   own scratch state instead of racing on globals. *)
+let dict_bits = 15
 let dict_cap = 1 lsl dict_bits
 let dict_mask = dict_cap - 1
 
+(* Generations stay below 2^30 so that [gen lsl 32] fits in an int. *)
+let max_gen = 1 lsl 30
+
+(* The byte loop runs over at most this many bytes at a time; synthetic
+   slices are generated into [window] and zero runs read from [zeros],
+   one window at a time. *)
+let window_len = 4096
+
 type dict = {
-  d_keys : int array;
-  d_vals : int array;
-  d_stamp : int array;
-  (* Zero-run memo: replicated payloads are dominated by runs of
-     zeros, for which [enc_step] keeps probing the same (w, 0) keys.
-     [z_next.(w)] caches the dictionary's answer for prefix code [w]
-     followed by a zero byte: >= 0 is the extended code, -1 means the
-     dictionary is frozen and the key will never appear.  Valid iff
-     [z_stamp.(w)] equals the current generation. *)
-  z_next : int array;
-  z_stamp : int array;
-  mutable d_gen : int;
+  slots : int array;
+  zmemo : int array;
+  window : bytes;
+  pending : int array;  (** codes emitted in the current window *)
+  mutable gen : int;
 }
 
 let make_dict () =
   {
-    d_keys = Array.make dict_cap 0;
-    d_vals = Array.make dict_cap 0;
-    d_stamp = Array.make dict_cap (-1);
-    z_next = Array.make max_code 0;
-    z_stamp = Array.make max_code (-1);
-    d_gen = 0;
+    slots = Array.make dict_cap 0;
+    zmemo = Array.make max_code 0;
+    window = Bytes.create window_len;
+    pending = Array.make window_len 0;
+    gen = 0;
   }
 
 let dls_dict = Domain.DLS.new_key make_dict
-let get_dict () = Domain.DLS.get dls_dict
-let dict_reset d = d.d_gen <- d.d_gen + 1
 
-let hash key = (key * 0x9E3779B1) lsr (31 - dict_bits) land dict_mask
+(* The domain's dictionary, emptied. *)
+let fresh_dict () =
+  let d = Domain.DLS.get dls_dict in
+  if d.gen + 1 < max_gen then d.gen <- d.gen + 1
+  else begin
+    Array.fill d.slots 0 dict_cap 0;
+    Array.fill d.zmemo 0 max_code 0;
+    d.gen <- 1
+  end;
+  d
 
-(* Find [key]; returns its code or -1. *)
-let rec dict_find_from d key i =
-  if d.d_stamp.(i) <> d.d_gen then -1
-  else if d.d_keys.(i) = key then d.d_vals.(i)
-  else dict_find_from d key ((i + 1) land dict_mask)
-
-let dict_find d key = dict_find_from d key (hash key)
-
-(* Insert [key] (not present) with value [v]. *)
-let dict_add d key v =
-  let i = ref (hash key) in
-  while d.d_stamp.(!i) = d.d_gen do
-    i := (!i + 1) land dict_mask
-  done;
-  d.d_keys.(!i) <- key;
-  d.d_vals.(!i) <- v;
-  d.d_stamp.(!i) <- d.d_gen
+(* Fibonacci hashing: the top [dict_bits] bits of [key * 2^63/phi]. *)
+let hash key = (key * 0x4F1BBCDCBFA53E0B) lsr (63 - dict_bits)
 
 (* -------------------- bit packing -------------------- *)
 
@@ -139,175 +151,151 @@ end
 
 (* -------------------- encode -------------------- *)
 
-(* The encoder automaton, fed one byte at a time through [step]; the
-   emit side is abstracted so the same loops serve both real encoding
-   and pure size measurement. *)
-
 let header_len = 8
 
-(* Per-domain mutable automaton state (see [dls_dict]). *)
+(* One encoding (or length count) in progress.  [w] is the current
+   prefix code — there always is one: the first input byte is consumed
+   before any slice is fed — [next] the next free code and [codes] the
+   number of codes emitted so far.  [out], when present, also receives
+   every emitted code. *)
 type enc = {
-  dict : dict;
+  d : dict;
+  out : Bitwriter.t option;
   mutable w : int;
   mutable next : int;
-  emit : int -> unit;
+  mutable codes : int;
 }
 
-let enc_step e c =
-  if e.w < 0 then e.w <- c
-  else begin
-    let key = (e.w lsl 8) lor c in
-    let code = dict_find e.dict key in
-    if code >= 0 then e.w <- code
-    else begin
-      e.emit e.w;
-      if e.next < max_code then begin
-        dict_add e.dict key e.next;
-        e.next <- e.next + 1
-      end;
-      e.w <- c
-    end
-  end
-
-(* Defined after [enc_step_zero]; real buffers route their zero bytes
-   through the memo too (tencent-sort records embed long zero runs). *)
-
-(* [enc_step e 0], with the (w, 0) dictionary probe served from the
-   zero-run memo: one array read on the hit path instead of a hashed
-   probe chain.  Byte-identical output to the generic step. *)
-let enc_step_zero e =
-  let w = e.w in
-  if w < 0 then e.w <- 0
-  else begin
-    let d = e.dict in
-    if d.z_stamp.(w) = d.d_gen then begin
-      let nxt = d.z_next.(w) in
-      if nxt >= 0 then e.w <- nxt
+(* Run the automaton over [len <= window_len] bytes of [buf] from
+   [pos], staging the codes it emits in [pending] (at most one per
+   byte); returns how many.  This is the only byte loop, and it makes no
+   calls, so the state stays in registers: a (w, 0) step is one memo
+   load, any other step one slot load per probe. *)
+let step_window e buf ~pos ~len =
+  let d = e.d in
+  let slots = d.slots and zmemo = d.zmemo and pending = d.pending in
+  let gen = d.gen in
+  let w = ref e.w and next = ref e.next and n = ref 0 in
+  for p = pos to pos + len - 1 do
+    let c = Char.code (Bytes.unsafe_get buf p) in
+    let z = if c = 0 then Array.unsafe_get zmemo !w else 0 in
+    if c = 0 && z lsr 12 = gen then begin
+      let code = z land 0xFFF in
+      if code > 0 then w := code
       else begin
         (* Frozen dictionary: (w, 0) is a permanent miss. *)
-        e.emit w;
-        e.w <- 0
+        Array.unsafe_set pending !n !w;
+        incr n;
+        w := 0
       end
     end
     else begin
-      let key = w lsl 8 in
-      let code = dict_find d key in
-      if code >= 0 then begin
-        d.z_stamp.(w) <- d.d_gen;
-        d.z_next.(w) <- code;
-        e.w <- code
-      end
-      else begin
-        e.emit w;
-        if e.next < max_code then begin
-          dict_add d key e.next;
-          d.z_stamp.(w) <- d.d_gen;
-          d.z_next.(w) <- e.next;
-          e.next <- e.next + 1
+      let w0 = !w in
+      let key = (w0 lsl 8) lor c in
+      let tag = (gen lsl 20) lor key in
+      let i = ref (hash key) in
+      let v = ref (Array.unsafe_get slots !i) in
+      while !v lsr 12 <> tag && !v lsr 32 = gen do
+        i := (!i + 1) land dict_mask;
+        v := Array.unsafe_get slots !i
+      done;
+      (* What (w0, c) extends to: its code, or 0 once frozen. *)
+      let ext =
+        if !v lsr 12 = tag then begin
+          w := !v land 0xFFF;
+          !w
         end
         else begin
-          d.z_stamp.(w) <- d.d_gen;
-          d.z_next.(w) <- -1
-        end;
-        e.w <- 0
-      end
+          Array.unsafe_set pending !n w0;
+          incr n;
+          w := c;
+          if !next < max_code then begin
+            Array.unsafe_set slots !i ((tag lsl 12) lor !next);
+            incr next;
+            !next - 1
+          end
+          else 0
+        end
+      in
+      if c = 0 then Array.unsafe_set zmemo w0 ((gen lsl 12) lor ext)
     end
-  end
-
-let enc_feed_zeros e n =
-  for _ = 1 to n do
-    enc_step_zero e
-  done
-
-let enc_feed_bytes e buf ~pos ~len =
-  for i = pos to pos + len - 1 do
-    let c = Char.code (Bytes.unsafe_get buf i) in
-    if c = 0 then enc_step_zero e else enc_step e c
-  done
-
-let enc_feed_synth e ~seed ~off ~len =
-  let o = ref off and n = ref len in
-  while !n > 0 && !o land 7 <> 0 do
-    let w = Storage.Data.synth_word seed (!o asr 3) in
-    enc_step e
-      (Int64.to_int (Int64.shift_right_logical w (8 * (!o land 7))) land 0xFF);
-    incr o;
-    decr n
   done;
-  while !n >= 8 do
-    let w = Storage.Data.synth_word seed (!o asr 3) in
-    let lo = Int64.to_int (Int64.logand w 0xFFFFFFFFL) in
-    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
-    enc_step e (lo land 0xFF);
-    enc_step e ((lo lsr 8) land 0xFF);
-    enc_step e ((lo lsr 16) land 0xFF);
-    enc_step e ((lo lsr 24) land 0xFF);
-    enc_step e (hi land 0xFF);
-    enc_step e ((hi lsr 8) land 0xFF);
-    enc_step e ((hi lsr 16) land 0xFF);
-    enc_step e ((hi lsr 24) land 0xFF);
-    o := !o + 8;
-    n := !n - 8
-  done;
-  while !n > 0 do
-    let w = Storage.Data.synth_word seed (!o asr 3) in
-    enc_step e
-      (Int64.to_int (Int64.shift_right_logical w (8 * (!o land 7))) land 0xFF);
-    incr o;
-    decr n
+  e.w <- !w;
+  e.next <- !next;
+  !n
+
+(* Hand the first [n] staged codes on. *)
+let emit_pending e n =
+  e.codes <- e.codes + n;
+  match e.out with
+  | None -> ()
+  | Some o ->
+      for i = 0 to n - 1 do
+        Bitwriter.put o (Array.unsafe_get e.d.pending i)
+      done
+
+(* Zero runs are fed from this constant window. *)
+let zeros = Bytes.make window_len '\000'
+
+(* [f off k] for consecutive windows [off, off + k) covering [0, len). *)
+let by_window len f =
+  let off = ref 0 in
+  while !off < len do
+    let k = min window_len (len - !off) in
+    f !off k;
+    off := !off + k
   done
 
-let enc_feed_data e d =
-  Storage.Data.iter_slices d (fun s ->
-      match s with
-      | Storage.Data.Sreal r -> enc_feed_bytes e r.buf ~pos:r.pos ~len:r.len
-      | Storage.Data.Ssynth sy ->
-          enc_feed_synth e ~seed:sy.seed ~off:sy.off ~len:sy.len
-      | Storage.Data.Szero z -> enc_feed_zeros e z.len)
+(* Feed [len <= window_len] bytes. *)
+let feed_window e buf ~pos ~len =
+  emit_pending e (step_window e buf ~pos ~len)
 
-let enc_finish e = if e.w >= 0 then e.emit e.w
+let feed_slice e = function
+  | Storage.Data.Sreal r ->
+      by_window r.len (fun off k ->
+          feed_window e r.buf ~pos:(r.pos + off) ~len:k)
+  | Storage.Data.Ssynth sy ->
+      let win = e.d.window in
+      by_window sy.len (fun off k ->
+          Storage.Data.synth_blit ~seed:sy.seed ~off:(sy.off + off) win ~pos:0
+            ~len:k;
+          feed_window e win ~pos:0 ~len:k)
+  | Storage.Data.Szero z ->
+      by_window z.len (fun _ k -> feed_window e zeros ~pos:0 ~len:k)
 
-let encode input =
-  let n = Bytes.length input in
+(* Encode a nonempty payload slice by slice; returns the number of
+   codes emitted. *)
+let run out data =
+  let n = Storage.Data.length data in
+  let e =
+    {
+      d = fresh_dict ();
+      out;
+      w = Char.code (Storage.Data.get data 0);
+      next = first_free;
+      codes = 0;
+    }
+  in
+  Storage.Data.iter_slices (Storage.Data.sub data ~pos:1 ~len:(n - 1))
+    (feed_slice e);
+  (* The last prefix is the final code. *)
+  e.d.pending.(0) <- e.w;
+  emit_pending e 1;
+  e.codes
+
+let encode_payload data =
+  let n = Storage.Data.length data in
   let out = Bitwriter.create ~input_len:n ~header:header_len in
   Bytes.set_int64_le out.Bitwriter.buf 0 (Int64.of_int n);
-  if n = 0 then Bitwriter.finish out
-  else begin
-    let dict = get_dict () in
-    dict_reset dict;
-    let e = { dict; w = -1; next = first_free; emit = Bitwriter.put out } in
-    enc_feed_bytes e input ~pos:0 ~len:n;
-    enc_finish e;
-    Bitwriter.finish out
-  end
+  if n > 0 then ignore (run (Some out) data : int);
+  Bitwriter.finish out
 
-let encode_data d =
-  let n = Storage.Data.length d in
-  let out = Bitwriter.create ~input_len:n ~header:header_len in
-  Bytes.set_int64_le out.Bitwriter.buf 0 (Int64.of_int n);
-  if n > 0 then begin
-    let dict = get_dict () in
-    dict_reset dict;
-    let e = { dict; w = -1; next = first_free; emit = Bitwriter.put out } in
-    enc_feed_data e d;
-    enc_finish e
-  end;
-  Storage.Data.real (Bitwriter.finish out)
+let encode input = encode_payload (Storage.Data.real input)
+let encode_data d = Storage.Data.real (encode_payload d)
 
 let encoded_length_data d =
-  let n = Storage.Data.length d in
-  if n = 0 then header_len
-  else begin
-    let dict = get_dict () in
-    dict_reset dict;
-    let codes = ref 0 in
-    let e =
-      { dict; w = -1; next = first_free; emit = (fun _ -> incr codes) }
-    in
-    enc_feed_data e d;
-    enc_finish e;
-    header_len + (((!codes * 12) + 7) / 8)
-  end
+  if Storage.Data.length d = 0 then header_len
+  else header_len + (((run None d * 12) + 7) / 8)
 
 (* -------------------- decode -------------------- *)
 

@@ -7,9 +7,13 @@
 
     The dictionary holds up to 4096 entries and freezes when full,
     which bounds memory and keeps the codec streaming-friendly.  The
-    encoder reuses an open-addressed int dictionary across calls, packs
-    bits into a worst-case-sized preallocated buffer, and can consume
-    payloads slice-by-slice without materializing them. *)
+    encoder's dictionary is a per-domain open-addressed table whose
+    slots each pack generation, key and code into one int (a probe is
+    one load; reuse across calls is a generation bump), plus a memo of
+    each code's extension by a zero byte for zero runs.  Encoding and
+    {!encoded_length_data} share one byte loop; the encoder packs bits
+    into a worst-case-sized preallocated buffer and consumes payloads
+    slice-by-slice without materializing them. *)
 
 val encode : Bytes.t -> Bytes.t
 (** Compress. Output starts with an 8-byte little-endian original
@@ -26,9 +30,9 @@ val encode_data : Storage.Data.t -> Storage.Data.t
     byte-identical to [encode (Data.to_bytes d)]. *)
 
 val encoded_length_data : Storage.Data.t -> int
-(** Length in bytes of [encode_data d]'s output, computed without
-    allocating any output — the zero-copy path for sizing wire
-    transfers. *)
+(** Length in bytes of [encode_data d]'s output, computed by counting
+    codes without packing or allocating any output — the zero-copy path
+    NICFS uses to size wire transfers. *)
 
 val decode_data : Storage.Data.t -> Storage.Data.t
 

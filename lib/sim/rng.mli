@@ -27,8 +27,14 @@ val bool : t -> bool
 val byte : t -> char
 (** Uniform byte. *)
 
+val draw_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
+(** [draw_bytes t buf ~pos ~len] writes [len] draws of {!byte} into
+    [buf] from [pos]: the same bytes and final state as [len] calls of
+    [byte t].  Raises [Invalid_argument] on an out-of-bounds range. *)
+
 val fill_bytes : t -> Bytes.t -> unit
-(** Fill a buffer with pseudo-random bytes. *)
+(** Fill a buffer with pseudo-random bytes: whole 64-bit draws, then
+    one {!byte} per trailing byte. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)

@@ -15,24 +15,60 @@ let partition_cpu_per_record = Time.ns 100
 let sort_cpu_per_compare = Time.ns 50
 
 let gen_records ~records ~record_bytes ~zero_ratio rng =
+  let payload = record_bytes - key_bytes in
+  let zeroed = int_of_float (zero_ratio *. float_of_int payload) in
   Array.init records (fun _ ->
-      let b = Bytes.create record_bytes in
+      let b = Bytes.make record_bytes '\000' in
       (* Keys stay uniformly random so range partitioning balances;
          only payloads carry the compressibility knob. *)
-      for i = 0 to key_bytes - 1 do
-        Bytes.set b i (Rng.byte rng)
-      done;
+      Rng.draw_bytes rng b ~pos:0 ~len:key_bytes;
       (* The modified gensort zeroes a contiguous region of each
          payload, so the compressible fraction forms runs. *)
-      let payload = record_bytes - key_bytes in
-      let zeroed = int_of_float (zero_ratio *. float_of_int payload) in
-      for i = key_bytes to key_bytes + zeroed - 1 do
-        Bytes.set b i '\000'
-      done;
-      for i = key_bytes + zeroed to record_bytes - 1 do
-        Bytes.set b i (Rng.byte rng)
-      done;
+      Rng.draw_bytes rng b ~pos:(key_bytes + zeroed)
+        ~len:(record_bytes - key_bytes - zeroed);
       b)
+
+(* The big-endian 16-bit digit at [at]; callers keep [at + 1] in
+   bounds. *)
+let[@inline] digit flat at =
+  (Char.code (Bytes.unsafe_get flat at) lsl 8)
+  lor Char.code (Bytes.unsafe_get flat (at + 1))
+
+(* Stable LSD radix sort of the record offsets by their 10-byte key:
+   one counting pass per 16-bit digit, least significant first,
+   ping-ponging between two offset arrays. *)
+let key_order flat ~record_bytes =
+  if record_bytes < key_bytes || Bytes.length flat mod record_bytes <> 0 then
+    invalid_arg "Tencent_sort.key_order";
+  let n = Bytes.length flat / record_bytes in
+  let radix = 1 lsl 16 in
+  let count = Array.make radix 0 in
+  let src = ref (Array.init n (fun i -> i * record_bytes)) in
+  let dst = ref (Array.make n 0) in
+  for d = (key_bytes / 2) - 1 downto 0 do
+    let src_a = !src and dst_a = !dst and at = 2 * d in
+    Array.fill count 0 radix 0;
+    for i = 0 to n - 1 do
+      let k = digit flat (Array.unsafe_get src_a i + at) in
+      Array.unsafe_set count k (Array.unsafe_get count k + 1)
+    done;
+    let sum = ref 0 in
+    for k = 0 to radix - 1 do
+      let c = Array.unsafe_get count k in
+      Array.unsafe_set count k !sum;
+      sum := !sum + c
+    done;
+    for i = 0 to n - 1 do
+      let o = Array.unsafe_get src_a i in
+      let k = digit flat (o + at) in
+      let slot = Array.unsafe_get count k in
+      Array.unsafe_set dst_a slot o;
+      Array.unsafe_set count k (slot + 1)
+    done;
+    src := dst_a;
+    dst := src_a
+  done;
+  !src
 
 let range_of_record b ~sorters = Char.code (Bytes.get b 0) * sorters / 256
 
@@ -95,9 +131,9 @@ let run ~(ops : Dfs_intf.ops) ~node ~records ?(record_bytes = 100)
       Engine.spawn ~name:(Printf.sprintf "tsort.sort%d" r) (fun () ->
           (* Gather this range's records from every partition worker
              into one flat buffer; sorting then permutes an offset
-             index instead of per-record byte copies, and keys are
-             compared in place — the merge phase allocates O(n) words
-             instead of O(n log n) key copies. *)
+             index instead of per-record byte copies, reading key
+             digits in place — the merge phase allocates O(n) words
+             and no key copies. *)
           let pieces = ref [] in
           let total = ref 0 in
           for w = 0 to partitions - 1 do
@@ -122,12 +158,8 @@ let run ~(ops : Dfs_intf.ops) ~node ~records ?(record_bytes = 100)
               Bytes.blit b 0 flat !off (Bytes.length b))
             !pieces;
           let n = !total / record_bytes in
-          let idx = Array.init n (fun i -> i * record_bytes) in
-          (* Lexicographic 10-byte key compare, in place.  A while loop
-             over local refs, not a local recursive function: the
-             compiler keeps these in registers, where a `let rec`
-             closure capturing [a]/[b] would be heap-allocated on every
-             one of the n log n comparisons. *)
+          (* Lexicographic 10-byte key compare, in place, for the
+             sortedness check below. *)
           let cmp_at a b =
             let i = ref 0 and r = ref 0 in
             while !r = 0 && !i < key_bytes do
@@ -139,7 +171,7 @@ let run ~(ops : Dfs_intf.ops) ~node ~records ?(record_bytes = 100)
             !r
           in
           (* Real sort, plus the modelled CPU cost of n log n compares. *)
-          Array.sort cmp_at idx;
+          let idx = key_order flat ~record_bytes in
           let log2n =
             let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
             go 1 (max 2 n)

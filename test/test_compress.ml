@@ -228,6 +228,66 @@ let prop_roundtrip_data_forms =
     arb_payload (fun d ->
       Data.equal (Lzw.decode_data (Lzw.encode_data d)) (Data.real (Data.to_bytes d)))
 
+(* Chunk-sized ropes, 16-64 KB: big enough to fill the 4096-code
+   dictionary, so the frozen-dictionary path and the frozen zero-memo
+   miss are exercised.  Leaves are Tencent-Sort-shaped real records (a
+   10-byte random key, then a payload whose first 60% is a zero run),
+   synthetic slices and zero slices. *)
+let tencent_records st ~records =
+  let b = Bytes.make (records * 100) '\000' in
+  for r = 0 to records - 1 do
+    for i = 0 to 9 do
+      Bytes.set b ((r * 100) + i) (Char.chr (Random.State.int st 256))
+    done;
+    for i = 64 to 99 do
+      Bytes.set b ((r * 100) + i) (Char.chr (Random.State.int st 256))
+    done
+  done;
+  Data.real b
+
+let gen_chunk_rope st =
+  let target = 16384 + Random.State.int st (65536 - 16384 + 1) in
+  let rec leaves acc len =
+    if len >= target then acc
+    else
+      let leaf =
+        match Random.State.int st 4 with
+        | 0 | 1 ->
+            tencent_records st ~records:(1 + Random.State.int st 80)
+        | 2 ->
+            Data.synthetic
+              ~seed:(1 + Random.State.int st 100)
+              ~len:(1 + Random.State.int st 8192)
+        | _ -> Data.zero ~len:(1 + Random.State.int st 8192)
+      in
+      let leaf = Data.sub leaf ~pos:0 ~len:(min (Data.length leaf) (target - len)) in
+      leaves (leaf :: acc) (len + Data.length leaf)
+  in
+  Data.concat (List.rev (leaves [] 0))
+
+let arb_chunk_rope =
+  QCheck.make gen_chunk_rope ~print:(fun d ->
+      Printf.sprintf "%d bytes in %d leaves" (Data.length d) (Data.leaf_count d))
+
+(* The byte-at-a-time Hashtbl encoder is an oracle independent of the
+   packed dictionary that [encoded_length_data] shares with [encode]. *)
+let legacy_length d = Bytes.length (Legacy.encode (Data.to_bytes d))
+
+let prop_encoded_length_chunk_ropes =
+  QCheck.Test.make ~name:"encoded_length_data of 16-64 KB ropes matches legacy"
+    ~count:60 arb_chunk_rope (fun d ->
+      let n = Lzw.encoded_length_data d in
+      n = legacy_length d && n = Data.length (Lzw.encode_data d))
+
+let prop_encoded_length_back_to_back =
+  QCheck.Test.make ~name:"encoded_length_data back to back reuses the table"
+    ~count:40 (QCheck.pair arb_chunk_rope arb_chunk_rope) (fun (a, b) ->
+      let want_a = Data.length (Lzw.encode_data a) in
+      let want_b = Data.length (Lzw.encode_data b) in
+      let got_a = Lzw.encoded_length_data a in
+      let got_b = Lzw.encoded_length_data b in
+      got_a = want_a && got_b = want_b && got_a = Lzw.encoded_length_data a)
+
 let () =
   let tc = Alcotest.test_case in
   let qt = QCheck_alcotest.to_alcotest in
@@ -258,5 +318,7 @@ let () =
           qt prop_encode_data_matches_flat;
           qt prop_encoded_length_data;
           qt prop_roundtrip_data_forms;
+          qt prop_encoded_length_chunk_ropes;
+          qt prop_encoded_length_back_to_back;
         ] );
     ]

@@ -154,6 +154,40 @@ let test_cell_pinned () =
   Alcotest.(check string) "3-node cell" pinned_cell
     (cell_fingerprint (run_cell ~file_kib:256 ~io_kib:16))
 
+(* A compression-on cell running Tencent Sort, the Fig. 9 data path:
+   real records, a real sort and real LZW sizing of every replicated
+   chunk.  Any change to the record bytes, the sort order or an LZW
+   length moves the digest, the wire bytes or the clock. *)
+let run_sort_cell () =
+  let eng = Engine.create () in
+  let out = ref None in
+  Engine.spawn_root eng (fun () ->
+      let d = Deployment.create ~params:test_params ~nodes:3 ~compression:true () in
+      let ops = Libfs.ops (Deployment.add_client d ~id:1) in
+      ignore
+        (Workloads.Tencent_sort.run ~ops
+           ~node:(Deployment.primary d).Deployment.node ~records:4000
+           ~zero_ratio:0.6 ~seed:3 ());
+      Deployment.flush_all d;
+      Deployment.stop d;
+      out :=
+        Some
+          (Printf.sprintf "digest=%08lx wire=%d elapsed=%d"
+             (Storage.Fs_state.digest (Deployment.primary d).Deployment.fs)
+             (Deployment.replication_wire_bytes d)
+             (Engine.now ())));
+  Engine.run eng;
+  match !out with
+  | None -> Alcotest.fail "sort cell did not finish"
+  | Some fp -> Printf.sprintf "%s events=%d" fp (Engine.events_executed eng)
+
+let pinned_sort_cell =
+  "digest=a635cf71 wire=538932 elapsed=3848413 events=2471"
+
+let test_sort_cell_pinned () =
+  Alcotest.(check string) "compression-on Tencent Sort cell" pinned_sort_cell
+    (run_sort_cell ())
+
 (* ------------------------------------------------------------------ *)
 (* Rack-scale: N nodes as replica groups, cohort clients               *)
 (* ------------------------------------------------------------------ *)
@@ -444,7 +478,10 @@ let () =
         ] );
       ("domains", [ qt prop_digest_domain_independent ]);
       ( "single-engine-cell",
-        [ tc "pinned 3-node cell fingerprint" `Quick test_cell_pinned ] );
+        [
+          tc "pinned 3-node cell fingerprint" `Quick test_cell_pinned;
+          tc "pinned compression-on sort cell" `Quick test_sort_cell_pinned;
+        ] );
       ( "rack",
         [
           tc "pinned 8-node rack fingerprint at domains 1/2/4" `Quick

@@ -483,6 +483,163 @@ let prop_rng_float_range =
       let v = Rng.float r bound in
       v >= 0.0 && v < bound)
 
+(* The generator's streams, pinned as literals: any change to its
+   state handling must reproduce them draw for draw.  Each kind is
+   drawn from a fresh generator of the seed. *)
+type pinned_streams = {
+  p_int64 : int64 list;
+  p_int : int list;
+  p_byte : char list;
+  p_float : float list;
+  p_bool : bool list;
+  p_child : int64 list;  (** [int64] stream of [split (create seed)] *)
+}
+
+let pinned_streams =
+  [
+    ( 1,
+      {
+        p_int64 =
+          [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L;
+            -846397198931878612L; 3727343498630883515L; -7456765501708208026L;
+            8407459800431601144L; 3430088234347965294L; 5808099861970480573L;
+            -2172474089950573756L; -8945553099086264698L;
+            -8603295654659979639L; -1424582745090185746L;
+            3723083104817009959L; 2857380782389785691L;
+            -8373586259226197282L ];
+        p_int =
+          [ 162; 791; 623; 292; 515; 782; 240; 294; 669; 148; 110; 169; 158;
+            959; 691; 526 ];
+        p_byte =
+          [ '\114'; '\071'; '\167'; '\044'; '\187'; '\102'; '\248'; '\110';
+            '\189'; '\068'; '\134'; '\137'; '\238'; '\039'; '\091'; '\222' ];
+        p_float =
+          [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2;
+            0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1;
+            0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3; 0x1.426a103512fbap-2;
+            0x1.c3b3a4a6a1831p-1; 0x1.07b605b43323p-1; 0x1.1135e85e5ca9p-1;
+            0x1.d875bb150b7f4p-1; 0x1.9d5862dd5f028p-3; 0x1.3d3ba575d2f78p-3;
+            0x1.179617532576p-1 ];
+        p_bool =
+          [ false; true; true; false; true; false; false; false; true; false;
+            false; true; false; true; true; false ];
+        p_child =
+          [ 6180444375122719049L; -322658711145397775L; 6258715490988419664L;
+            8703581636288138626L; 1398927919794477307L; -6979198776017295577L;
+            -3640565991946710257L; 426573555231986849L; 7999926224299076670L;
+            3313092693973421564L; 5794600398835329322L; -1516360358565314291L;
+            2971897643220351380L; -6228097475619783690L; 1931120044866255313L;
+            -872781581156717119L ];
+      } );
+    ( 42,
+      {
+        p_int64 =
+          [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+            885919558081284366L; -353919125003956057L; 4337243929683858115L;
+            5152897204343404489L; 2820384354626331986L; -4414613273027670835L;
+            4497339579670313847L; -4345211542386587372L;
+            -2098947937136382188L; -1845073873574444724L;
+            1482940387686048950L; 700186318760072552L; -2693559979281954569L ];
+        p_int =
+          [ 473; 191; 141; 366; 847; 115; 585; 986; 69; 847; 532; 716; 180;
+            950; 552; 335 ];
+        p_byte =
+          [ '\105'; '\215'; '\213'; '\014'; '\167'; '\195'; '\201'; '\082';
+            '\205'; '\119'; '\020'; '\020'; '\076'; '\182'; '\104'; '\247' ];
+        p_float =
+          [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+            0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+            0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1;
+            0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1;
+            0x1.ccc9f62cda7b8p-1; 0x1.494766cf71b6p-4; 0x1.36f1f7e8c90ap-5;
+            0x1.b53d1af09b619p-1 ];
+        p_bool =
+          [ true; true; true; false; true; true; true; false; true; true;
+            false; false; false; false; false; true ];
+        p_child =
+          [ 6168158941143839527L; -3019913106490840865L;
+            -1367550982472023797L; -7015381238573483236L;
+            -5706006749629217081L; 2300893321553747151L;
+            -1304710398959156219L; 7724519035333002459L;
+            -6167902470894854710L; -6101494679193127909L;
+            -8040349693739079202L; -4110237174666755222L;
+            -4466446693915575709L; -2811451017334004160L;
+            -3970826150298072149L; 2747901263051578712L ];
+      } );
+  ]
+
+let test_rng_pinned_streams () =
+  let draws seed f = let r = Rng.create seed in List.init 16 (fun _ -> f r) in
+  List.iter
+    (fun (seed, p) ->
+      let name kind = Printf.sprintf "seed %d %s" seed kind in
+      Alcotest.(check (list int64)) (name "int64") p.p_int64 (draws seed Rng.int64);
+      Alcotest.(check (list int)) (name "int") p.p_int
+        (draws seed (fun r -> Rng.int r 1000));
+      Alcotest.(check (list char)) (name "byte") p.p_byte (draws seed Rng.byte);
+      Alcotest.(check (list (float 0.0))) (name "float") p.p_float
+        (draws seed (fun r -> Rng.float r 1.0));
+      Alcotest.(check (list bool)) (name "bool") p.p_bool (draws seed Rng.bool);
+      let r = Rng.create seed in
+      let child = Rng.split r in
+      Alcotest.(check (list int64)) (name "split child") p.p_child
+        (List.init 16 (fun _ -> Rng.int64 child));
+      (* [split] consumes one draw of its parent. *)
+      Alcotest.(check (list int64)) (name "parent after split")
+        (List.tl p.p_int64)
+        (List.init 15 (fun _ -> Rng.int64 r));
+      let buf = Bytes.make 18 '.' in
+      Rng.draw_bytes (Rng.create seed) buf ~pos:1 ~len:16;
+      Alcotest.(check string) (name "draw_bytes")
+        ("." ^ String.of_seq (List.to_seq p.p_byte) ^ ".")
+        (Bytes.to_string buf))
+    pinned_streams
+
+(* The draws the workloads make per byte or per event allocate nothing:
+   the generator state is never boxed.  [float] is the one exception,
+   and only for its result: a float returned from a call that is not
+   inlined is boxed (2 words), and dune's default dev profile compiles
+   with -opaque, which rules out inlining across libraries. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 3 in
+  let n = 10_000 in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let words_of name f =
+    Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 (words f)
+  in
+  let float_words =
+    words (fun () ->
+        let acc = ref 0.0 in
+        for _ = 1 to n do
+          acc := !acc +. Rng.float r 1.0
+        done;
+        if !acc < 0.0 then Alcotest.fail "negative draw")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "float: %.0f minor words <= one boxed result per draw"
+       float_words)
+    true
+    (float_words <= float_of_int (2 * n));
+  words_of "int" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Rng.int r 1000))
+      done);
+  words_of "byte" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Rng.byte r))
+      done);
+  words_of "bool" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Rng.bool r))
+      done);
+  let buf = Bytes.create n in
+  words_of "draw_bytes" (fun () -> Rng.draw_bytes r buf ~pos:0 ~len:n)
+
 let test_time_pretty_print () =
   Alcotest.(check string) "ns" "42ns" (Time.to_string 42);
   Alcotest.(check string) "us" "1.50us" (Time.to_string 1500);
@@ -548,5 +705,7 @@ let () =
           tc "rng split" `Quick test_rng_split_independent;
           qt prop_rng_float_range;
           tc "time pretty print" `Quick test_time_pretty_print;
+          tc "rng pinned streams" `Quick test_rng_pinned_streams;
+          tc "rng draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
     ]

@@ -309,6 +309,60 @@ let test_tencent_sort_compression_saves_wire () =
     true
     (compressed * 2 < plain)
 
+(* The sort's output must be exactly its input, reordered: read back
+   every temporary file (the partition phase's output, per key range)
+   and every output file, and check that each range's output holds the
+   same multiset of 100-byte records as that range's temporary files,
+   and that the outputs, range after range, are in key order.
+   A sort that duplicated one record and dropped another would keep
+   the byte count and the order and still fail here. *)
+let test_tencent_sort_output_is_sorted_input records () =
+  let partitions = 4 and sorters = 4 and record_bytes = 100 in
+  let read_records ops path =
+    match ops.Dfs_intf.file_size path with
+    | None -> Alcotest.failf "%s missing" path
+    | Some size ->
+        let fd = ops.Dfs_intf.open_file path in
+        let s =
+          Bytes.to_string (Data.to_bytes (ops.Dfs_intf.read fd ~pos:0 ~len:size))
+        in
+        ops.Dfs_intf.close fd;
+        Alcotest.(check int) (path ^ " holds whole records") 0
+          (size mod record_bytes);
+        List.init (size / record_bytes) (fun i ->
+            String.sub s (i * record_bytes) record_bytes)
+  in
+  let key r = String.sub r 0 10 in
+  let ranges =
+    with_linefs (fun d ops ->
+        ignore
+          (Tencent_sort.run ~ops
+             ~node:(Deployment.primary d).Deployment.node
+             ~records ~partitions ~sorters ~zero_ratio:0.6 ~seed:5 ());
+        List.init sorters (fun r ->
+            let temps =
+              List.concat_map
+                (fun w ->
+                  read_records ops (Printf.sprintf "/sort/tmp-p%d-r%d" w r))
+                (List.init partitions Fun.id)
+            in
+            (temps, read_records ops (Printf.sprintf "/sort/out-%d" r))))
+  in
+  List.iteri
+    (fun r (temps, out) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "range %d: output = sorted temp records" r)
+        (List.sort compare temps) (List.sort compare out))
+    ranges;
+  let outs = List.concat_map snd ranges in
+  Alcotest.(check int) "every record once" records (List.length outs);
+  ignore
+    (List.fold_left
+       (fun prev r ->
+         if key prev > key r then Alcotest.fail "output out of key order";
+         r)
+       (List.hd outs) outs)
+
 (* ------------------------------------------------------------------ *)
 (* iperf                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -365,6 +419,10 @@ let () =
         [
           tc "end to end" `Quick test_tencent_sort_end_to_end;
           tc "compression saves wire" `Quick test_tencent_sort_compression_saves_wire;
+          tc "output is the sorted input (2k)" `Quick
+            (test_tencent_sort_output_is_sorted_input 2_000);
+          tc "output is the sorted input (20k)" `Quick
+            (test_tencent_sort_output_is_sorted_input 20_000);
         ] );
       ("iperf", [ tc "saturates link" `Quick test_iperf_saturates_link ]);
     ]
