@@ -147,7 +147,52 @@ let heap_churn =
            ignore (Sim.Heap.pop h : (int * int * int) option)
          done))
 
-let all_tests =
+(* Log reclaim after one write, in a client that has already written
+   and reclaimed 2,000 files: the cost of what publication frees, which
+   must not grow with the files the client has touched before.  The
+   backend publishes nothing itself; each run writes 64 B and reclaims
+   it, as the NICFS publish sink does.  Built on demand: the setup
+   runs a simulation, which other subcommands must not see. *)
+let libfs_reclaim_2k () =
+  let module L = Linefs.Libfs in
+  let eng = Sim.Engine.create () in
+  let node =
+    Hw.Node.create Hw.Config.testbed_25gbe
+      ~switch:(Hw.Netlink.create_switch ()) ~id:0
+  in
+  let backend =
+    {
+      L.sysname = "host";
+      lease = (fun _ _ -> ());
+      open_check = (fun _ _ _ -> ());
+      log_full = (fun _ -> failwith "log full");
+      appended = (fun _ _ -> ());
+      fsync = (fun _ _ -> ());
+    }
+  in
+  let c =
+    L.create ~params:Linefs.Params.default ~node ~backend
+      ~fs:(Storage.Fs_state.create ()) ~id:1 ()
+  in
+  let ops = L.ops c in
+  let data = Storage.Data.synthetic ~seed:1 ~len:64 in
+  let fd = ref (-1) in
+  Sim.Engine.spawn_root eng (fun () ->
+      for i = 0 to 1999 do
+        let f = ops.Linefs.Dfs_intf.create (Printf.sprintf "/f%d" i) in
+        ops.Linefs.Dfs_intf.append f data;
+        fd := f
+      done;
+      L.reclaim c ~upto_seq:(L.last_seq c));
+  Sim.Engine.run eng;
+  Test.make ~name:"libfs.reclaim-2k-inodes"
+    (Staged.stage (fun () ->
+         Sim.Engine.spawn_root eng (fun () ->
+             ops.Linefs.Dfs_intf.write !fd ~pos:0 data;
+             L.reclaim c ~upto_seq:(L.last_seq c));
+         Sim.Engine.run eng))
+
+let all_tests () =
   [
     extent_map_insert;
     extent_map_lookup;
@@ -162,6 +207,7 @@ let all_tests =
     rng_int_1m;
     tsort_key_sort_50k;
     heap_churn;
+    libfs_reclaim_2k ();
   ]
 
 let run () =
@@ -182,4 +228,4 @@ let run () =
           | Some [ est ] -> Printf.printf "  %-40s %12.1f ns/run\n%!" name est
           | _ -> Printf.printf "  %-40s (no estimate)\n%!" name)
         results')
-    all_tests
+    (all_tests ())

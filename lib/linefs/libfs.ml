@@ -85,8 +85,13 @@ let create ?(prio = Hw.Cpu.prio_normal) ?account ~params ~node ~backend ~fs ~id
    update index, and wake appenders waiting for log space. *)
 let reclaim t ~upto_seq =
   ignore (Oplog.Log.reclaim_upto t.lg ~seq:upto_seq : int);
-  Hashtbl.iter
-    (fun _ m -> Extent_map.remove_if m (fun seq -> seq <= upto_seq))
+  let published seq = seq <= upto_seq in
+  (* An inode leaves the index once its last unpublished write goes,
+     so the walk covers only inodes with writes still in the log. *)
+  Hashtbl.filter_map_inplace
+    (fun _ m ->
+      Extent_map.remove_if m published;
+      if Extent_map.is_empty m then None else Some m)
     t.pending;
   Cond.broadcast t.log_space
 
@@ -289,10 +294,7 @@ let do_read t fd ~pos ~len =
   let in_log =
     match Hashtbl.find_opt t.pending f.inum with
     | None -> false
-    | Some m ->
-        List.exists
-          (function `Data _ -> true | `Hole _ -> false)
-          (Extent_map.read_range m ~pos ~len)
+    | Some m -> Extent_map.intersects m ~pos ~len
   in
   if not in_log then begin
     (* Public PM path: walk the per-file extent tree. *)

@@ -71,7 +71,9 @@ val pending_bytes : t -> int
 val reclaim : t -> upto_seq:int -> unit
 (** Entries up to [upto_seq] are safe outside the log (published, or
     digested into public PM): reclaim their log space and drop them
-    from the update index. *)
+    from the update index.  The cost follows what it frees: the log
+    entries up to [upto_seq] and the inodes that still hold
+    unpublished writes, not every file the client has written. *)
 
 (** {1 For backends} *)
 

@@ -106,7 +106,24 @@ let read_range t ~pos ~len =
 let remove_range t ~pos ~len = carve t ~pos ~len
 
 let remove_if t pred =
-  Imap.iter (fun _ s -> if pred s.tag then del_seg t s) t.segs
+  t.segs <-
+    Imap.filter
+      (fun _ s ->
+        let drop = pred s.tag in
+        if drop then t.bytes <- t.bytes - Data.length s.data;
+        not drop)
+      t.segs
+
+(* Is any byte of [pos, pos+len) mapped?  The last segment starting
+   below [pos+len] is the only candidate: segments never overlap, so
+   every earlier one ends before it starts. *)
+let intersects t ~pos ~len =
+  len > 0
+  &&
+  let hi = pos + len in
+  match Imap.find_last_opt (fun k -> k < hi) t.segs with
+  | Some (_, s) -> seg_end s > pos
+  | None -> false
 
 let iter t f = Imap.iter (fun _ s -> f s) t.segs
 let fold t ~init ~f = Imap.fold (fun _ s acc -> f acc s) t.segs init

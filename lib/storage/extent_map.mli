@@ -36,7 +36,12 @@ val remove_range : 'a t -> pos:int -> len:int -> unit
 (** Unmap a range (segments straddling the boundary are trimmed). *)
 
 val remove_if : 'a t -> ('a -> bool) -> unit
-(** Drop all segments whose tag satisfies the predicate. *)
+(** Drop all segments whose tag satisfies the predicate, in one pass. *)
+
+val intersects : 'a t -> pos:int -> len:int -> bool
+(** Whether any byte of [\[pos, pos + len)] is mapped: [read_range]
+    would return a [`Data] piece.  [false] when [len <= 0].  One
+    lookup: it builds no piece list and slices no payload. *)
 
 val iter : 'a t -> ('a segment -> unit) -> unit
 (** In offset order. *)

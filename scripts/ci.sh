@@ -24,6 +24,9 @@
 # engine-local, so independent scenarios batch one engine each
 # (dst_sweep cross-checks one batched fingerprint against a sequential
 # run).
+# Last, the benchmark smoke runs each workload of BENCHMARK.json for one
+# second and fails unless it reports correct results and no failed
+# operations; it gates correctness only, never timing.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -94,3 +97,16 @@ echo "scale smoke: 8-node rack byte-identical at 1, 2 and 4 domains," \
 dune exec bench/wallclock.exe -- \
   --domains "${SMOKE_DOMAINS:-4}" --no-domain-probe -o _ci_wallclock.json
 rm -f _ci_wallclock.json
+
+# ---- benchmark smoke --------------------------------------------------
+for w in seqwrite_busy sort_compress varmail_busy; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || {
+    echo "FAIL: perfbench $w did not run clean"
+    exit 1
+  }
+done
+echo "benchmark smoke: every workload correct with no failed operations"

@@ -124,6 +124,54 @@ let test_publication_reclaims_log () =
         >= mib 2);
       Deployment.stop d)
 
+(* A LibFS on a bare host whose backend publishes nothing by itself:
+   the test plays the publisher and calls [Libfs.reclaim]. *)
+let host_libfs () =
+  let switch = Hw.Netlink.create_switch () in
+  let node = Hw.Node.create Hw.Config.testbed_25gbe ~switch ~id:0 in
+  let backend =
+    {
+      Libfs.sysname = "host";
+      lease = (fun _ _ -> ());
+      open_check = (fun _ _ _ -> ());
+      log_full = (fun _ -> Alcotest.fail "log full");
+      appended = (fun _ _ -> ());
+      fsync = (fun _ _ -> ());
+    }
+  in
+  Libfs.create ~params:test_params ~node ~backend ~fs:(Fs_state.create ())
+    ~id:1 ()
+
+(* Reclaim costs what it frees, not the namespace: after one more
+   write, reclaiming it allocates the same whether the client has
+   already written (and reclaimed) 10 files or 2,000. *)
+let test_reclaim_cost_independent_of_files () =
+  let reclaim_words files =
+    run_sim (fun () ->
+        let c = host_libfs () in
+        let ops = Libfs.ops c in
+        let fds =
+          Array.init files (fun i ->
+              let fd = ops.Dfs_intf.create (Printf.sprintf "/f%d" i) in
+              ops.Dfs_intf.append fd (Data.synthetic ~seed:i ~len:64);
+              if i mod 10 = 9 then
+                Libfs.reclaim c ~upto_seq:(Libfs.last_seq c);
+              fd)
+        in
+        Libfs.reclaim c ~upto_seq:(Libfs.last_seq c);
+        ops.Dfs_intf.append fds.(0) (Data.synthetic ~seed:files ~len:64);
+        let before = Gc.minor_words () in
+        Libfs.reclaim c ~upto_seq:(Libfs.last_seq c);
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "log fully reclaimed" 0 (Libfs.pending_bytes c);
+        words)
+  in
+  let few = reclaim_words 10 and many = reclaim_words 2000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words with 2000 files, %.0f with 10" many few)
+    true
+    (Float.abs (many -. few) <= 16.0)
+
 let test_pipeline_kick_on_chunk_boundary () =
   run_sim (fun () ->
       let d = make_cluster () in
@@ -740,6 +788,8 @@ let () =
       ( "pipeline",
         [
           tc "publication reclaims log" `Quick test_publication_reclaims_log;
+          tc "reclaim cost flat in files" `Quick
+            test_reclaim_cost_independent_of_files;
           tc "kick on chunk boundary" `Quick test_pipeline_kick_on_chunk_boundary;
           tc "stage latencies recorded" `Quick test_stage_latencies_recorded;
           tc "parallel beats sequential" `Quick test_pipeline_beats_sequential;

@@ -347,6 +347,33 @@ let test_extent_remove_if () =
   Extent_map.remove_if m (fun tag -> tag <= 2);
   Alcotest.(check string) "only tag 3 left" "....cc" (read_string m ~pos:0 ~len:6)
 
+let test_extent_intersects () =
+  let m = Extent_map.create () in
+  Extent_map.insert m ~at:10 (Data.of_string "aaaa") 1;
+  Extent_map.insert m ~at:14 (Data.of_string "bb") 2;
+  Extent_map.insert m ~at:30 (Data.of_string "cc") 3;
+  let check name expect ~pos ~len =
+    Alcotest.(check bool) name expect (Extent_map.intersects m ~pos ~len);
+    Alcotest.(check bool)
+      (name ^ ": agrees with read_range")
+      expect
+      (List.exists
+         (function `Data _ -> true | `Hole _ -> false)
+         (Extent_map.read_range m ~pos ~len))
+  in
+  check "straddles a segment start" true ~pos:8 ~len:4;
+  check "straddles a segment end" true ~pos:15 ~len:5;
+  check "inside one segment" true ~pos:11 ~len:1;
+  check "spans a hole into a segment" true ~pos:20 ~len:11;
+  check "ends where a segment starts" false ~pos:6 ~len:4;
+  check "starts where the last segment ends" false ~pos:16 ~len:14;
+  check "hole between segments" false ~pos:17 ~len:10;
+  check "past the end" false ~pos:32 ~len:100;
+  check "zero length inside a segment" false ~pos:11 ~len:0;
+  check "negative length" false ~pos:11 ~len:(-3);
+  Alcotest.(check bool) "empty map" false
+    (Extent_map.intersects (Extent_map.create ()) ~pos:0 ~len:max_int)
+
 let test_extent_accounting () =
   let m = Extent_map.create () in
   Extent_map.insert m ~at:0 (Data.of_string "aaaa") 1;
@@ -357,27 +384,63 @@ let test_extent_accounting () =
 (* Model-based property: an extent map behaves like a byte array with
    last-writer-wins semantics. *)
 let prop_extent_model =
+  (* Each step writes [len] bytes at [at], or when [k = 0] instead
+     drops every segment written before step [at mod (i + 1)], the way
+     log reclaim drops a published prefix. *)
   let gen =
     QCheck.(
       list_of_size
         Gen.(1 -- 30)
-        (pair (int_bound 200) (int_range 1 50)))
+        (triple (int_bound 200) (int_range 1 50) (int_bound 3)))
   in
   QCheck.Test.make ~name:"extent map matches flat-array model" ~count:300 gen
-    (fun writes ->
+    (fun steps ->
       let size = 300 in
-      let model = Bytes.make size '.' in
+      let model = Array.make size None in
       let m = Extent_map.create () in
       List.iteri
-        (fun i (at, len) ->
-          let ch = Char.chr (Char.code 'a' + (i mod 26)) in
-          let content = String.make len ch in
-          if at + len <= size then begin
-            Bytes.blit_string content 0 model at len;
-            Extent_map.insert m ~at (Data.of_string content) i
+        (fun i (at, len, k) ->
+          if k = 0 then begin
+            let cut = at mod (i + 1) in
+            Extent_map.remove_if m (fun tag -> tag < cut);
+            Array.iteri
+              (fun j cell ->
+                match cell with
+                | Some (_, tag) when tag < cut -> model.(j) <- None
+                | _ -> ())
+              model
+          end
+          else if at + len <= size then begin
+            let ch = Char.chr (Char.code 'a' + (i mod 26)) in
+            for j = at to at + len - 1 do
+              model.(j) <- Some (ch, i)
+            done;
+            Extent_map.insert m ~at (Data.of_string (String.make len ch)) i
           end)
-        writes;
-      read_string m ~pos:0 ~len:size = Bytes.to_string model)
+        steps;
+      let mapped = Array.fold_left (fun n c -> if c = None then n else n + 1) 0 model in
+      let covered ~pos ~len =
+        let hit = ref false in
+        for j = pos to min size (pos + len) - 1 do
+          if model.(j) <> None then hit := true
+        done;
+        !hit
+      in
+      let intersects_ok = ref true in
+      for pos = 0 to size / 7 do
+        List.iter
+          (fun len ->
+            let pos = pos * 7 in
+            if Extent_map.intersects m ~pos ~len <> covered ~pos ~len then
+              intersects_ok := false)
+          [ 0; 1; 5; 40 ]
+      done;
+      read_string m ~pos:0 ~len:size
+      = String.init size (fun j ->
+            match model.(j) with Some (c, _) -> c | None -> '.')
+      && Extent_map.mapped_bytes m = mapped
+      && Extent_map.is_empty m = (mapped = 0)
+      && !intersects_ok)
 
 (* Stronger model property: random inserts, range removals and
    per-offset lookups against a naive per-byte model.  Checks both the
@@ -892,6 +955,7 @@ let () =
           tc "find" `Quick test_extent_find;
           tc "remove range" `Quick test_extent_remove_range;
           tc "remove if" `Quick test_extent_remove_if;
+          tc "intersects" `Quick test_extent_intersects;
           tc "accounting" `Quick test_extent_accounting;
           qt prop_extent_model;
           qt prop_extent_model_ops;
