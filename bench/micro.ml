@@ -4,14 +4,36 @@
 open Bechamel
 open Toolkit
 
-let extent_map_insert =
-  Test.make ~name:"extent_map.insert-1k"
+(* The LibFS append path's index update: 16,384 appends of 16 KiB, one
+   file's worth of a sequential writer, each at the map's end. *)
+let extent_map_append =
+  let data = Storage.Data.synthetic ~seed:1 ~len:16384 in
+  Test.make ~name:"extent_map.append-16k"
     (Staged.stage (fun () ->
          let m = Storage.Extent_map.create () in
-         for i = 0 to 999 do
-           Storage.Extent_map.insert m ~at:(i * 64)
-             (Storage.Data.zero ~len:64) i
+         for i = 0 to 16_383 do
+           Storage.Extent_map.insert m ~at:(i * 16384) data i
          done))
+
+(* The array map's worst case: a write into the middle of a 16k-segment
+   map moves every segment after it.  Each run splits the middle
+   segment with a 1 KiB overwrite (three segments for one) and then
+   writes the segment back whole (one for three): two blits of ~8k
+   slots. *)
+let extent_map_overwrite_mid =
+  let data = Storage.Data.synthetic ~seed:1 ~len:16384 in
+  let m = Storage.Extent_map.create () in
+  let () =
+    for i = 0 to 16_383 do
+      Storage.Extent_map.insert m ~at:(i * 16384) data i
+    done
+  in
+  let mid = 8192 * 16384 in
+  let patch = Storage.Data.zero ~len:1024 in
+  Test.make ~name:"extent_map.overwrite-mid-16k"
+    (Staged.stage (fun () ->
+         Storage.Extent_map.insert m ~at:(mid + 4096) patch 0;
+         Storage.Extent_map.insert m ~at:mid data 8192))
 
 let extent_map_lookup =
   let m = Storage.Extent_map.create () in
@@ -51,6 +73,15 @@ let oplog_roundtrip =
          match Storage.Oplog.deserialize (Storage.Oplog.serialize entry) with
          | Ok _ -> ()
          | Error e -> failwith e))
+
+let oplog_make_synth =
+  let data = Storage.Data.synthetic ~seed:1 ~len:16384 in
+  Test.make ~name:"oplog.make-synth-16KiB"
+    (Staged.stage (fun () ->
+         ignore
+           (Storage.Oplog.make ~seq:1 ~client:0
+              (Storage.Oplog.Write { inum = 2; offset = 0; data })
+             : Storage.Oplog.entry)))
 
 let sim_events =
   Test.make ~name:"sim.10k-events"
@@ -194,11 +225,13 @@ let libfs_reclaim_2k () =
 
 let all_tests () =
   [
-    extent_map_insert;
+    extent_map_append;
+    extent_map_overwrite_mid;
     extent_map_lookup;
     crc32_4k;
     lzw_encode_64k;
     oplog_roundtrip;
+    oplog_make_synth;
     sim_events;
     data_concat_traverse;
     crc32_rope_1m;

@@ -74,7 +74,7 @@ end
 
 (* Process-wide tally across every engine, for wall-clock throughput
    reporting (events per real second) in the bench harness.  Atomic:
-   engines on different domains (batched runs) all bump it. *)
+   engines on different domains (batched runs) all add to it. *)
 let total_executed = Atomic.make 0
 
 (* ---- per-event-kind wall-clock profile (bench-only; off by default) *)
@@ -288,7 +288,6 @@ let exec_event t time ev =
       t.current_name <- ev.name;
       t.current_group <- ev.group;
       t.executed <- t.executed + 1;
-      Atomic.incr total_executed;
       if !prof_enabled then begin
         let w0 = Gc.minor_words () in
         let t0 = !prof_clock () in
@@ -299,7 +298,15 @@ let exec_event t time ev =
       end
       else run_payload ev.payload
 
+(* The process-wide tally takes one atomic add per [run], not one per
+   event: the events this run executed, added as it returns or raises. *)
 let run ?deadline t =
+  let executed_at_entry = t.executed in
+  Fun.protect ~finally:(fun () ->
+      ignore
+        (Atomic.fetch_and_add total_executed (t.executed - executed_at_entry)
+          : int))
+  @@ fun () ->
   with_current t @@ fun () ->
   t.stopped <- false;
   let running = ref true in

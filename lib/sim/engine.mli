@@ -60,7 +60,9 @@ val events_executed : t -> int
 val global_events_executed : unit -> int
 (** Process-wide event tally across all engines ever created — the
     basis for wall-clock events-per-second reporting in benchmarks.
-    Maintained with [Atomic]: safe when engines run on several domains. *)
+    Each {!run} adds its events once, as it returns or raises, so a run
+    still in progress is not yet counted.  Maintained with [Atomic]:
+    safe when engines run on several domains. *)
 
 (** {1 Per-event-kind wall-clock profiling}
 

@@ -100,9 +100,21 @@ let update crc buf ~pos ~len = to_int32 (update_int (of_int32 crc) buf ~pos ~len
 let bytes buf = update 0l buf ~pos:0 ~len:(Bytes.length buf)
 let string s = bytes (Bytes.unsafe_of_string s)
 
-let update_string crc s =
-  let b = Bytes.unsafe_of_string s in
-  to_int32 (update_int (of_int32 crc) b ~pos:0 ~len:(Bytes.length b))
+let fold_string c s =
+  update_int c (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+
+let update_string crc s = to_int32 (fold_string (of_int32 crc) s)
+
+(* One table step per byte: fields are a few bytes long, too short for
+   the slicing loop to pay. *)
+let fold_le crc v ~bytes =
+  let t = Lazy.force table in
+  let c = ref (crc lxor mask32) in
+  for k = 0 to bytes - 1 do
+    c :=
+      Array.unsafe_get t ((!c lxor (v asr (8 * k))) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor mask32
 
 (* -------------------- GF(2) combine machinery -------------------- *)
 
@@ -296,15 +308,14 @@ let synth_run_int crc ~seed ~off ~len =
 let update_synth crc ~seed ~off ~len =
   to_int32 (synth_run_int (of_int32 crc) ~seed ~off ~len)
 
-let update_data crc d =
-  let c =
-    Data.fold_slices d ~init:(of_int32 crc) ~f:(fun c s ->
-        match s with
-        | Data.Sreal r -> update_int c r.buf ~pos:r.pos ~len:r.len
-        | Data.Ssynth s -> synth_run_int c ~seed:s.seed ~off:s.off ~len:s.len
-        | Data.Szero z -> zero_run_int c z.len)
-  in
-  to_int32 c
+let fold_data c d =
+  Data.fold_slices d ~init:c ~f:(fun c s ->
+      match s with
+      | Data.Sreal r -> update_int c r.buf ~pos:r.pos ~len:r.len
+      | Data.Ssynth s -> synth_run_int c ~seed:s.seed ~off:s.off ~len:s.len
+      | Data.Szero z -> zero_run_int c z.len)
+
+let update_data crc d = to_int32 (fold_data (of_int32 crc) d)
 
 let data d = update_data 0l d
 

@@ -39,3 +39,23 @@ val update_data : int32 -> Data.t -> int32
 
 val data : Data.t -> int32
 (** Checksum of a payload; [data d = update_data 0l d]. *)
+
+(** {1 Native-int register}
+
+    The same checksum carried as a native [int] in [\[0, 2^32)] instead
+    of a boxed [int32], for streaming encoders: folding a field into it
+    allocates nothing.  The [update_*] functions above are these plus
+    the conversions at either end. *)
+
+val of_int32 : int32 -> int
+val to_int32 : int -> int32
+
+val fold_le : int -> int -> bytes:int -> int
+(** [fold_le c v ~bytes] extends [c] with the low [bytes] bytes of [v],
+    least significant first: a little-endian field.  [bytes = 8] folds
+    [Int64.of_int v], sign extension included. *)
+
+val fold_string : int -> string -> int
+
+val fold_data : int -> Data.t -> int
+(** [fold_data c d] is [of_int32 (update_data (to_int32 c) d)]. *)

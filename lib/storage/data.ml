@@ -138,22 +138,31 @@ let sub t ~pos ~len =
         end
       end
 
-let iter_slices t f =
-  let leaf_slice = function
-    | Real r -> f (Sreal { buf = r.buf; pos = r.pos; len = r.len })
-    | Synth s -> f (Ssynth { seed = s.seed; off = s.off; len = s.len })
-    | Zero z -> f (Szero { len = z.len })
-    | Cat _ -> assert false
-  in
-  match t with
-  | Real r -> if r.len > 0 then leaf_slice (Real r)
-  | Synth _ | Zero _ -> if length t > 0 then leaf_slice t
-  | Cat c -> Array.iter leaf_slice c.parts
+let slice_of_leaf = function
+  | Real r -> Sreal { buf = r.buf; pos = r.pos; len = r.len }
+  | Synth s -> Ssynth { seed = s.seed; off = s.off; len = s.len }
+  | Zero z -> Szero { len = z.len }
+  | Cat _ -> assert false
 
+(* First-order loops: a fold over a leaf allocates only its slice. *)
 let fold_slices t ~init ~f =
-  let acc = ref init in
-  iter_slices t (fun s -> acc := f !acc s);
-  !acc
+  match t with
+  | Cat c ->
+      let acc = ref init in
+      for k = 0 to Array.length c.parts - 1 do
+        acc := f !acc (slice_of_leaf c.parts.(k))
+      done;
+      !acc
+  | Real _ | Synth _ | Zero _ ->
+      if length t > 0 then f init (slice_of_leaf t) else init
+
+let iter_slices t f =
+  match t with
+  | Cat c ->
+      for k = 0 to Array.length c.parts - 1 do
+        f (slice_of_leaf c.parts.(k))
+      done
+  | Real _ | Synth _ | Zero _ -> if length t > 0 then f (slice_of_leaf t)
 
 let slice_length = function
   | Sreal r -> r.len

@@ -5,7 +5,21 @@
     Segments never overlap; inserting over existing segments splits or
     replaces them (last-writer-wins), slicing payloads as needed.  Each
     segment carries a caller tag (e.g. the log sequence number that
-    produced it) so ranges can be selectively dropped on log reclaim. *)
+    produced it) so ranges can be selectively dropped on log reclaim.
+
+    The segments live in one sorted, growable array.  Costs, for a map
+    of [n] segments of which an operation overlaps [r]:
+    - lookups ([find], [intersects]) are an O(log n) binary search and
+      allocate at most an option;
+    - [insert] and [remove_range] are O(log n + r) to find and drop the
+      overlapped run, plus one blit of the segments after it: nothing
+      moves for an append at or past {!end_offset}, O(n) moves for a
+      write in the middle.  An append allocates 6 words, its segment
+      and an option (and, when the array doubles, the new array);
+    - [read_range] is O(log n + r) plus its piece list;
+    - [remove_if] is one O(n) compacting pass;
+    - [cardinal], [is_empty], [end_offset] and [mapped_bytes] are
+      O(1); [depth] is arithmetic on [cardinal], no traversal. *)
 
 type 'a t
 
@@ -19,7 +33,8 @@ val cardinal : 'a t -> int
 (** Number of segments. *)
 
 val depth : 'a t -> int
-(** ~log2(cardinal): models index traversal cost. *)
+(** [floor (log2 cardinal)] (0 when at most one segment): models the
+    traversal cost of a tree index over the same segments. *)
 
 val insert : 'a t -> at:int -> Data.t -> 'a -> unit
 (** Map [\[at, at + len)] to the payload, overwriting any overlap. *)

@@ -50,79 +50,92 @@ let kind_code = function
   | Write _ -> 4
   | Truncate _ -> 5
 
-(* Encoding is written against an abstract byte sink so the checksum
-   path can stream fields straight into the CRC register — no Buffer
-   round trip, and [Write] payloads are checksummed in place via
-   [Crc32.update_data] instead of being materialized. *)
-type writer = {
-  w_u8 : int -> unit;
-  w_u16 : int -> unit;
-  w_u32 : int -> unit;
-  w_i32 : int32 -> unit;
-  w_u64 : int -> unit;
-  w_str : string -> unit;
-  w_data : Data.t -> unit;
-}
+(* The entry byte layout, written once against an abstract sink and
+   instantiated twice: over a [Buffer.t] for [serialize], and over the
+   CRC register itself for the checksum, so the two can never drift.
+   Each field returns the sink's next state; the CRC state is a native
+   int, so checksumming an entry allocates nothing but the payload's
+   slice walk. *)
+module type SINK = sig
+  type t
 
-let buffer_writer b =
-  let u8 v = Buffer.add_uint8 b (v land 0xFF) in
-  let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
-  {
-    w_u8 = u8;
-    w_u16 = (fun v -> Buffer.add_uint16_le b (v land 0xFFFF));
-    w_u32 = u32;
-    w_i32 = (fun v -> Buffer.add_int32_le b v);
-    w_u64 = (fun v -> Buffer.add_int64_le b (Int64.of_int v));
-    w_str =
-      (fun s ->
-        u32 (String.length s);
-        Buffer.add_string b s);
-    w_data =
-      (fun d ->
-        let n = Data.length d in
-        let tmp = Bytes.create n in
-        Data.blit_to d ~src_pos:0 ~dst:tmp ~dst_pos:0 ~len:n;
-        Buffer.add_bytes b tmp);
-  }
+  val le : t -> int -> bytes:int -> t
+  (** The low [bytes] bytes of an integer, least significant first. *)
 
-(* CRC sink: integer fields go through a small reusable scratch; the
-   payload streams through the slice-aware CRC. *)
-let crc_writer () =
-  let crc = ref 0l in
-  let scratch = Bytes.create 8 in
-  let add n =
-    crc := Crc32.update !crc scratch ~pos:0 ~len:n
-  in
-  let u8 v =
-    Bytes.unsafe_set scratch 0 (Char.unsafe_chr (v land 0xFF));
-    add 1
-  in
-  let u32 v =
-    Bytes.set_int32_le scratch 0 (Int32.of_int v);
-    add 4
-  in
-  ( {
-      w_u8 = u8;
-      w_u16 =
-        (fun v ->
-          Bytes.set_uint16_le scratch 0 (v land 0xFFFF);
-          add 2);
-      w_u32 = u32;
-      w_i32 =
-        (fun v ->
-          Bytes.set_int32_le scratch 0 v;
-          add 4);
-      w_u64 =
-        (fun v ->
-          Bytes.set_int64_le scratch 0 (Int64.of_int v);
-          add 8);
-      w_str =
-        (fun s ->
-          u32 (String.length s);
-          crc := Crc32.update_string !crc s);
-      w_data = (fun d -> crc := Crc32.update_data !crc d);
-    },
-    crc )
+  val string : t -> string -> t
+  val data : t -> Data.t -> t
+end
+
+module Encoder (S : SINK) = struct
+  let u8 s v = S.le s v ~bytes:1
+  let u16 s v = S.le s v ~bytes:2
+  let u32 s v = S.le s v ~bytes:4
+  let u64 s v = S.le s v ~bytes:8
+  let str s x = S.string (u32 s (String.length x)) x
+
+  let op s = function
+    | Create { parent; name; inum; dir } ->
+        u8 (u64 (str (u64 s parent) name) inum) (if dir then 1 else 0)
+    | Unlink { parent; name; inum } -> u64 (str (u64 s parent) name) inum
+    | Rename { src_parent; src_name; dst_parent; dst_name; inum } ->
+        let s = str (u64 s src_parent) src_name in
+        u64 (str (u64 s dst_parent) dst_name) inum
+    | Write { inum; offset; data } ->
+        let s = u64 (u64 s inum) offset in
+        let len = Data.length data in
+        (* Real payloads embed bytes; synthetic ones their descriptor:
+           the length and the first 16 content bytes, cheap and still
+           enough to pin the content for the checksum. *)
+        if Data.is_real data then S.data (u32 (u8 s 0) len) data
+        else S.data (u32 (u8 s 1) len) (Data.sub data ~pos:0 ~len:(min 16 len))
+    | Truncate { inum; size } -> u64 (u64 s inum) size
+
+  (* The entry without its crc trailer: what the crc covers. *)
+  let body s ~seq ~client o =
+    let s = u8 (u8 (u16 s magic) (kind_code o)) 0 in
+    op (u32 (u64 s seq) client) o
+
+  let framed s e =
+    u32 (body s ~seq:e.seq ~client:e.client e.op) (Int32.to_int e.crc)
+end
+
+module Crc_encoder = Encoder (struct
+  type t = int
+
+  let le = Crc32.fold_le
+  let string = Crc32.fold_string
+  let data = Crc32.fold_data
+end)
+
+module Buffer_encoder = Encoder (struct
+  type t = Buffer.t
+
+  let le b v ~bytes =
+    for k = 0 to bytes - 1 do
+      Buffer.add_uint8 b ((v asr (8 * k)) land 0xFF)
+    done;
+    b
+
+  let string b x =
+    Buffer.add_string b x;
+    b
+
+  let data b d =
+    Buffer.add_bytes b (Data.to_bytes d);
+    b
+end)
+
+let make ~seq ~client op =
+  { seq; client; op; crc = Crc32.to_int32 (Crc_encoder.body 0 ~seq ~client op) }
+
+let check e =
+  Crc32.of_int32 e.crc = Crc_encoder.body 0 ~seq:e.seq ~client:e.client e.op
+
+let frame_crc acc e =
+  Crc32.to_int32 (Crc_encoder.framed (Crc32.of_int32 acc) e)
+
+let serialize e =
+  Buffer.to_bytes (Buffer_encoder.framed (Buffer.create (size e + 16)) e)
 
 module Dec = struct
   type t = { buf : Bytes.t; mutable pos : int }
@@ -174,84 +187,6 @@ module Dec = struct
     t.pos <- t.pos + n;
     b
 end
-
-let encode_op w = function
-  | Create { parent; name; inum; dir } ->
-      w.w_u64 parent;
-      w.w_str name;
-      w.w_u64 inum;
-      w.w_u8 (if dir then 1 else 0)
-  | Unlink { parent; name; inum } ->
-      w.w_u64 parent;
-      w.w_str name;
-      w.w_u64 inum
-  | Rename { src_parent; src_name; dst_parent; dst_name; inum } ->
-      w.w_u64 src_parent;
-      w.w_str src_name;
-      w.w_u64 dst_parent;
-      w.w_str dst_name;
-      w.w_u64 inum
-  | Write { inum; offset; data } -> (
-      w.w_u64 inum;
-      w.w_u64 offset;
-      (* Real payloads embed bytes; synthetic ones their descriptor
-         (cheap, deterministic, still covered by the checksum). *)
-      match Data.is_real data with
-      | true ->
-          w.w_u8 0;
-          w.w_u32 (Data.length data);
-          w.w_data data
-      | false ->
-          w.w_u8 1;
-          w.w_u32 (Data.length data);
-          (* Descriptor: first 16 content bytes sampled + length is
-             enough to pin content deterministically for the CRC. *)
-          for i = 0 to min 15 (Data.length data - 1) do
-            w.w_u8 (Char.code (Data.get data i))
-          done)
-  | Truncate { inum; size } ->
-      w.w_u64 inum;
-      w.w_u64 size
-
-let encode_entry w e =
-  w.w_u16 magic;
-  w.w_u8 (kind_code e.op);
-  w.w_u8 0;
-  w.w_u64 e.seq;
-  w.w_u32 e.client;
-  encode_op w e.op
-
-(* Streams the entry's wire bytes straight into the CRC register —
-   identical byte sequence to [serialize] minus the trailing crc, so
-   the resulting value matches the historical Buffer-based path. *)
-let compute_crc e =
-  let w, crc = crc_writer () in
-  encode_entry w e;
-  !crc
-
-let make ~seq ~client op =
-  let e = { seq; client; op; crc = 0l } in
-  { e with crc = compute_crc e }
-
-let check e = Int32.equal e.crc (compute_crc e)
-
-(* Fold one entry's wire bytes (including its own crc trailer) into a
-   running frame CRC: the end-to-end integrity trailer of a replication
-   frame is the fold of this over the chunk's entries.  Streams through
-   the slice-aware CRC sink, so rope payloads never flatten. *)
-let frame_crc acc e =
-  let w, crc = crc_writer () in
-  crc := acc;
-  encode_entry w e;
-  w.w_i32 e.crc;
-  !crc
-
-let serialize e =
-  let b = Buffer.create (size e + 16) in
-  let w = buffer_writer b in
-  encode_entry w e;
-  w.w_i32 e.crc;
-  Buffer.to_bytes b
 
 let deserialize buf =
   let d = Dec.{ buf; pos = 0 } in

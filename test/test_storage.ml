@@ -384,41 +384,59 @@ let test_extent_accounting () =
 (* Model-based property: an extent map behaves like a byte array with
    last-writer-wins semantics. *)
 let prop_extent_model =
-  (* Each step writes [len] bytes at [at], or when [k = 0] instead
-     drops every segment written before step [at mod (i + 1)], the way
-     log reclaim drops a published prefix. *)
+  (* Each step [(at, len, k)] is, by [k]:
+     - 0: drop every segment written before step [at mod (i + 1)], the
+       way log reclaim drops a published prefix;
+     - 1: unmap [len] bytes at [at];
+     - 2, 3: append [len] bytes exactly at [end_offset], the tail case
+       of an insert (a third of the steps);
+     - 4, 5: write [len] bytes at [at], usually over the middle. *)
   let gen =
     QCheck.(
       list_of_size
         Gen.(1 -- 30)
-        (triple (int_bound 200) (int_range 1 50) (int_bound 3)))
+        (triple (int_bound 200) (int_range 1 50) (int_bound 5)))
   in
   QCheck.Test.make ~name:"extent map matches flat-array model" ~count:300 gen
     (fun steps ->
-      let size = 300 in
+      let size = 600 in
       let model = Array.make size None in
       let m = Extent_map.create () in
+      let write ~at ~len i =
+        if at + len <= size then begin
+          let ch = Char.chr (Char.code 'a' + (i mod 26)) in
+          for j = at to at + len - 1 do
+            model.(j) <- Some (ch, i)
+          done;
+          Extent_map.insert m ~at (Data.of_string (String.make len ch)) i
+        end
+      in
       List.iteri
         (fun i (at, len, k) ->
-          if k = 0 then begin
-            let cut = at mod (i + 1) in
-            Extent_map.remove_if m (fun tag -> tag < cut);
-            Array.iteri
-              (fun j cell ->
-                match cell with
-                | Some (_, tag) when tag < cut -> model.(j) <- None
-                | _ -> ())
-              model
-          end
-          else if at + len <= size then begin
-            let ch = Char.chr (Char.code 'a' + (i mod 26)) in
-            for j = at to at + len - 1 do
-              model.(j) <- Some (ch, i)
-            done;
-            Extent_map.insert m ~at (Data.of_string (String.make len ch)) i
-          end)
+          match k with
+          | 0 ->
+              let cut = at mod (i + 1) in
+              Extent_map.remove_if m (fun tag -> tag < cut);
+              Array.iteri
+                (fun j cell ->
+                  match cell with
+                  | Some (_, tag) when tag < cut -> model.(j) <- None
+                  | _ -> ())
+                model
+          | 1 ->
+              Extent_map.remove_range m ~pos:at ~len;
+              for j = at to min size (at + len) - 1 do
+                model.(j) <- None
+              done
+          | 2 | 3 -> write ~at:(Extent_map.end_offset m) ~len i
+          | _ -> write ~at ~len i)
         steps;
       let mapped = Array.fold_left (fun n c -> if c = None then n else n + 1) 0 model in
+      let model_end =
+        let e = ref 0 in
+        Array.iteri (fun j c -> if c <> None then e := j + 1) model;
+        !e
+      in
       let covered ~pos ~len =
         let hit = ref false in
         for j = pos to min size (pos + len) - 1 do
@@ -440,6 +458,7 @@ let prop_extent_model =
             match model.(j) with Some (c, _) -> c | None -> '.')
       && Extent_map.mapped_bytes m = mapped
       && Extent_map.is_empty m = (mapped = 0)
+      && Extent_map.end_offset m = model_end
       && !intersects_ok)
 
 (* Stronger model property: random inserts, range removals and
@@ -546,6 +565,125 @@ let test_oplog_check () =
   Alcotest.(check bool) "fresh entry validates" true (Oplog.check e);
   let tampered = { e with Oplog.seq = 99 } in
   Alcotest.(check bool) "tampered entry fails" false (Oplog.check tampered)
+
+(* Entry checksums pinned bit for bit: one entry per op kind and per
+   [Write] payload form (real bytes, a synthetic stream at offset 0, at
+   a nonzero offset, shorter than its 16-byte descriptor, a zero run,
+   and a rope mixing all three leaf kinds). *)
+let pinned_entries () =
+  let synth = Data.synthetic ~seed:7 ~len:4096 in
+  let write offset data = Oplog.Write { inum = 12; offset; data } in
+  List.mapi
+    (fun i (name, op, crc) -> (name, Oplog.make ~seq:(i + 1) ~client:3 op, crc))
+    [
+      ( "create",
+        Oplog.Create { parent = 1; name = "file.txt"; inum = 12; dir = false },
+        0x480f0deel );
+      ( "mkdir",
+        Oplog.Create { parent = 1; name = "dir"; inum = 13; dir = true },
+        0x4dad6538l );
+      ( "unlink",
+        Oplog.Unlink { parent = 1; name = "file.txt"; inum = 12 },
+        0x0f927c3dl );
+      ( "rename",
+        Oplog.Rename
+          {
+            src_parent = 1;
+            src_name = "a";
+            dst_parent = 13;
+            dst_name = "bb";
+            inum = 14;
+          },
+        0xeaecc635l );
+      ("truncate", Oplog.Truncate { inum = 12; size = 777 }, 0x8a35ddcdl);
+      ( "write real",
+        write 4096 (Data.of_string "the quick brown fox jumps"),
+        0x2203e44bl );
+      ("write synth", write 0 synth, 0xb00a6e40l);
+      ( "write synth offset",
+        write 8192 (Data.sub synth ~pos:1001 ~len:300),
+        0xe12514f6l );
+      ( "write synth short",
+        write 5 (Data.synthetic ~seed:9 ~len:5),
+        0x6829be52l );
+      ("write zero", write 64 (Data.zero ~len:100), 0xa68fd748l);
+      ( "write rope",
+        write (1 lsl 33)
+          (Data.concat
+             [
+               Data.of_string "abc";
+               Data.sub synth ~pos:13 ~len:50;
+               Data.zero ~len:20;
+             ]),
+        0x9ee5367el );
+    ]
+
+let test_oplog_pinned_crcs () =
+  let entries = pinned_entries () in
+  List.iter
+    (fun (name, e, crc) -> Alcotest.(check int32) name crc e.Oplog.crc)
+    entries;
+  let entry k =
+    let _, e, _ = List.nth entries k in
+    e
+  in
+  Alcotest.(check int32)
+    "frame crc of create, write real, write synth" 0x526e0bd7l
+    (List.fold_left Oplog.frame_crc 0l [ entry 0; entry 5; entry 6 ])
+
+(* The checksum streams the entry's fields into the CRC register; the
+   serializer writes the same fields to a buffer.  They must agree:
+   the crc of the wire bytes before the 4-byte trailer is [e.crc]. *)
+let prop_oplog_crc_matches_serialized =
+  let payload =
+    QCheck.Gen.(
+      let* len = 0 -- 80 in
+      oneof
+        [
+          map (fun s -> Data.of_string s) (string_size (return len));
+          map (fun seed -> Data.synthetic ~seed ~len) (0 -- 1000);
+          map
+            (fun pos -> Data.sub (Data.synthetic ~seed:5 ~len:200) ~pos ~len)
+            (0 -- 120);
+          return (Data.zero ~len);
+          map
+            (fun s -> Data.concat [ Data.of_string s; Data.zero ~len ])
+            (string_size (1 -- 8));
+        ])
+  in
+  let op =
+    QCheck.Gen.(
+      let* inum = 0 -- 1_000_000 and* n = 0 -- (1 lsl 40) in
+      let* name = string_size ~gen:printable (1 -- 12) in
+      oneof
+        [
+          map (fun data -> Oplog.Write { inum; offset = n; data }) payload;
+          return (Oplog.Create { parent = inum; name; inum = n; dir = n land 1 = 0 });
+          return (Oplog.Unlink { parent = inum; name; inum = n });
+          return
+            (Oplog.Rename
+               {
+                 src_parent = inum;
+                 src_name = name;
+                 dst_parent = n;
+                 dst_name = name ^ "'";
+                 inum = n + 1;
+               });
+          return (Oplog.Truncate { inum; size = n });
+        ])
+  in
+  let gen =
+    QCheck.make
+      ~print:(fun (seq, client, op) ->
+        Format.asprintf "#%d@%d %a" seq client Oplog.pp_op op)
+      QCheck.Gen.(triple (1 -- max_int) (0 -- 0xFFFF) op)
+  in
+  QCheck.Test.make ~name:"entry crc equals crc of its serialized bytes"
+    ~count:300 gen (fun (seq, client, op) ->
+      let e = Oplog.make ~seq ~client op in
+      let wire = Oplog.serialize e in
+      Crc32.bytes (Bytes.sub wire 0 (Bytes.length wire - 4)) = e.Oplog.crc
+      && Oplog.check e)
 
 let test_oplog_sizes () =
   let meta = Oplog.make ~seq:1 ~client:0
@@ -965,6 +1103,8 @@ let () =
           tc "serialize roundtrip" `Quick test_oplog_serialize_roundtrip;
           tc "crc detects corruption" `Quick test_oplog_crc_detects_corruption;
           tc "check" `Quick test_oplog_check;
+          tc "pinned crcs" `Quick test_oplog_pinned_crcs;
+          qt prop_oplog_crc_matches_serialized;
           tc "sizes" `Quick test_oplog_sizes;
           tc "touches" `Quick test_oplog_touches;
           tc "log cursors" `Quick test_log_append_and_cursors;
